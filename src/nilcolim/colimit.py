@@ -132,22 +132,11 @@ def epsilon_images(t: CosetTable) -> list[int]:
         raise TableNotClosedError("epsilon needs a closed table")
     P = t.presentation
     G = P.group
-    W = 2 * P.num_generators
-    col_elem = []
-    for j in P.generators:
-        col_elem.append(j)
-        col_elem.append(G.inverse(j))
     images = [-1] * t.coset_count
     images[0] = 0
-    queue = [0]
-    while queue:
-        x = queue.pop(0)
-        row = t.table[x]
-        for s in range(W):
-            y = row[s]
-            if images[y] == -1:
-                images[y] = G.multiply(images[x], col_elem[s])
-                queue.append(y)
+    for x, s, y in t.breadth_first():
+        e = P.generators[abs(s) - 1]
+        images[y] = G.multiply(images[x], e if s > 0 else G.inverse(e))
     if any(v == -1 for v in images):
         raise AssertionError("coset table is not transitive")
     return images
@@ -164,30 +153,22 @@ def epsilon_bar_images(t: CosetTable) -> list[tuple[int, int]]:
         raise TableNotClosedError("the pair map needs a closed table")
     P = t.presentation
     G = P.group
-    W = 2 * P.num_generators
-    col_pair = []
-    for j in P.generators:
-        inv = G.inverse(j)
-        col_pair.append((j, inv))
-        col_pair.append((inv, j))
+    pair: dict[int, tuple[int, int]] = {}  # signed generator -> (u, v)
+    for j, e in enumerate(P.generators, 1):
+        inv = G.inverse(e)
+        pair[j] = (e, inv)
+        pair[-j] = (inv, e)
     images: list[Optional[tuple[int, int]]] = [None] * t.coset_count
     images[0] = (0, 0)
-    queue = [0]
-    while queue:
-        x = queue.pop(0)
+    for x, s, y in t.breadth_first():
         a, b = images[x]
-        for s in range(W):
-            y = t.table[x][s]
-            if images[y] is None:
-                u, v = col_pair[s]
-                images[y] = (G.multiply(a, u), G.multiply(b, v))
-                queue.append(y)
+        u, v = pair[s]
+        images[y] = (G.multiply(a, u), G.multiply(b, v))
     for x in range(t.coset_count):
         a, b = images[x]
-        for s in range(W):
-            u, v = col_pair[s]
+        for s, (u, v) in pair.items():
             target = (G.multiply(a, u), G.multiply(b, v))
-            if images[t.table[x][s]] != target:
+            if images[t.trace((s,), x)] != target:
                 raise AssertionError(
                     "the pair substitution is inconsistent across the table"
                 )
@@ -217,19 +198,10 @@ def coset_words(t: CosetTable) -> list[Word]:
     """A representative word for every coset (BFS from 0, shortest-first)."""
     if not t.closed:
         raise TableNotClosedError("representative words need a closed table")
-    P = t.presentation
-    W = 2 * P.num_generators
     words: list[Optional[Word]] = [None] * t.coset_count
     words[0] = ()
-    queue = [0]
-    while queue:
-        x = queue.pop(0)
-        for s in range(W):
-            y = t.table[x][s]
-            if words[y] is None:
-                j = s // 2 + 1
-                words[y] = words[x] + ((j,) if s % 2 == 0 else (-j,))
-                queue.append(y)
+    for x, s, y in t.breadth_first():
+        words[y] = words[x] + (s,)
     return words  # type: ignore[return-value]
 
 
@@ -592,26 +564,13 @@ def span_map_into_ambient_colimit(
     images = [trace_word(g_table, relabel(w)) for w in words]
     injective = len(set(images)) == len(images)
     # reachable set of coset 0 under the sequence-image generators only
-    cols = []
-    for e in inner.elements:
-        j = to_parent[e]
-        cols.extend((g_table.column(j), g_table.column(-j)))
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        new = []
-        for x in frontier:
-            for col in cols:
-                y = g_table.table[x][col]
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
+    gens = [s for e in inner.elements for s in (to_parent[e], -to_parent[e])]
+    reached = 1 + sum(1 for _ in g_table.breadth_first(gens))
     return SpanEmbeddingReport(
         well_defined=well_defined,
         injective=injective,
         image_order=len(set(images)),
-        sequence_generated_order=len(seen),
+        sequence_generated_order=reached,
     )
 
 
@@ -695,17 +654,8 @@ def omega_check(t: CosetTable, n: int) -> OmegaReport:
     if n == -1 and well:
         phi = [-1] * t.coset_count
         phi[0] = 0
-        queue = [0]
-        W = 2 * P.num_generators
-        while queue:
-            x = queue.pop(0)
-            for s in range(W):
-                y = t.table[x][s]
-                if phi[y] == -1:
-                    j = s // 2 + 1
-                    signed = j if s % 2 == 0 else -j
-                    phi[y] = t.trace(omega_of(signed), phi[x])
-                    queue.append(y)
+        for x, s, y in t.breadth_first():
+            phi[y] = t.trace(omega_of(s), phi[x])
         involutive = all(phi[phi[x]] == x for x in range(t.coset_count))
     return OmegaReport(n, well, involutive)
 

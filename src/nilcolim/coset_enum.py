@@ -3,16 +3,23 @@
 The strategy is deduction-stack driven: every table definition is scanned
 against all relator rotations through that generator, with coincidences
 resolved through a union-find merge queue (Holt's presentation of the
-algorithm).  Definitions fill the first empty slot in (coset, column) order,
-so runs are deterministic given the presentation and limit.
+algorithm).  Definitions fill the first empty slot of a coset, trying the
+signed generators in the order +1, -1, +2, -2, ..., so runs are
+deterministic given the presentation and limit.
 
-Relators here are overwhelmingly length 2 and 3 (pair relators), so those
-scans are specialized; longer words fall back to a generic two-ended scan.
+As ACE does for involutions, generators a, b > 0 that are each other's only
+partner in a relator (a)(b) or (b)(a) share a column pair: a^-1 is traced in
+b's column (a's own for (a)(a)) and those relators are dropped.  That pairs every generator of
+a colimit presentation; any other generator keeps a formal inverse column.
+What is left is overwhelmingly pair relators of length 3, which get a
+specialized scan; other lengths use a generic two-ended scan.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .presentations import Presentation, Word
 
@@ -30,8 +37,10 @@ class TableNotClosedError(RuntimeError):
 class CosetTable:
     """Result of an enumeration: live rows renumbered 0..coset_count-1.
 
-    ``table[x][col]`` is the target coset (or -1 while partial); columns come
-    in pairs, 2*(j-1) for generator j and 2*(j-1)+1 for its inverse.
+    ``table[x * width + c]`` is the target coset of x along column c (or -1
+    while partial).  Column j-1 carries generator j; ``inverse_column[c]`` is
+    the column that undoes column c: the paired generator's column, c itself
+    for an involution, or a formal inverse column at index >= k.
     """
 
     presentation: Presentation
@@ -39,7 +48,9 @@ class CosetTable:
     coset_count: int
     high_water: int
     limit: int
-    table: list[list[int]] = field(repr=False)
+    table: list[int] = field(repr=False)
+    width: int
+    inverse_column: list[int] = field(repr=False)
 
     @property
     def closed(self) -> bool:
@@ -49,15 +60,41 @@ class CosetTable:
         j = abs(signed_gen)
         if j < 1 or j > self.presentation.num_generators:
             raise ValueError(f"generator index {signed_gen} out of range")
-        return 2 * (j - 1) + (0 if signed_gen > 0 else 1)
+        return j - 1 if signed_gen > 0 else self.inverse_column[j - 1]
 
     def trace(self, word: Word, start: int = 0) -> int:
         if not self.closed:
             raise TableNotClosedError(f"cannot trace words in a {self.state} table")
+        tab, W = self.table, self.width
         x = start
         for signed in word:
-            x = self.table[x][self.column(signed)]
+            x = tab[x * W + self.column(signed)]
         return x
+
+    def breadth_first(
+        self, gens: Optional[Sequence[int]] = None
+    ) -> Iterator[tuple[int, int, int]]:
+        """Breadth-first spanning tree from coset 0: yields ``(x, signed, y)``
+        for each newly reached coset y = x.signed, trying the signed
+        generators ``gens`` in order (default +1, -1, +2, -2, ...)."""
+        if not self.closed:
+            raise TableNotClosedError(f"cannot traverse a {self.state} table")
+        if gens is None:
+            k = self.presentation.num_generators
+            gens = [s for j in range(1, k + 1) for s in (j, -j)]
+        steps = [(s, self.column(s)) for s in gens]
+        tab, W = self.table, self.width
+        seen = [False] * self.coset_count
+        seen[0] = True
+        queue = [0]
+        for x in queue:  # the list grows while it is read: an index queue
+            base = x * W
+            for s, c in steps:
+                y = tab[base + c]
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+                    yield x, s, y
 
 
 def trace_word(t: CosetTable, word: Word) -> int:
@@ -65,37 +102,59 @@ def trace_word(t: CosetTable, word: Word) -> int:
     return t.trace(word, 0)
 
 
+def _inverse_columns(P: Presentation) -> list[int]:
+    """The inverse-column map of P's table (see ``CosetTable``).
+
+    Generators a, b > 0 share a column pair when (a)(b) or (b)(a) is a
+    relator and each is the other's only such partner.
+    """
+    k = P.num_generators
+    partners: list[set[int]] = [set() for _ in range(k + 1)]
+    for w in P.relators:
+        if len(w) == 2 and w[0] > 0 and w[1] > 0:
+            partners[w[0]].add(w[1])
+            partners[w[1]].add(w[0])
+    IC = [-1] * k
+    for j in range(1, k + 1):
+        (p,) = partners[j] if len(partners[j]) == 1 else (0,)
+        if p and partners[p] == {j}:
+            IC[j - 1] = p - 1
+        else:
+            IC[j - 1] = len(IC)
+            IC.append(j - 1)
+    return IC
+
+
 def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTable:
     if limit < 1:
         raise ValueError(f"coset limit must be >= 1, got {limit}")
     k = P.num_generators
-    W = 2 * k
+    IC = _inverse_columns(P)
+    W = len(IC)
+    # columns in definition order: those of +1, -1, +2, -2, ...
+    order = list(dict.fromkeys(c for j in range(k) for c in (j, IC[j])))
 
     def col_of(signed: int) -> int:
-        return 2 * (signed - 1) if signed > 0 else 2 * (-signed - 1) + 1
+        return signed - 1 if signed > 0 else IC[-signed - 1]
 
-    # rotation forms of every relator and its inverse, grouped by first column
+    # rotation forms of every relator the pairing leaves, and of its inverse,
+    # grouped by first column
     forms: set[tuple[int, ...]] = set()
     for w in P.relators:
+        if len(w) == 2 and w[0] > 0 and IC[w[0] - 1] == w[1] - 1:
+            continue
         cols = tuple(col_of(x) for x in w)
-        inv = tuple(c ^ 1 for c in reversed(cols))
+        inv = tuple(IC[c] for c in reversed(cols))
         for word in (cols, inv):
             for shift in range(len(word)):
                 forms.add(word[shift:] + word[:shift])
-    rot2: list[list[int]] = [[] for _ in range(W)]  # (s, u) -> u
     rot3: list[list[int]] = [[] for _ in range(W)]  # (s, u, v) -> u, v interleaved
     rot_other: list[list[tuple[int, ...]]] = [[] for _ in range(W)]
-    rot1_selfloop = [False] * W
     for f in sorted(forms):
-        s = f[0]
         if len(f) == 3:
-            rot3[s].extend((f[1], f[2]))
-        elif len(f) == 2:
-            rot2[s].append(f[1])
-        elif len(f) == 1:
-            rot1_selfloop[s] = True
+            rot3[f[0]].extend((f[1], f[2]))
         else:
-            rot_other[s].append(f)
+            rot_other[f[0]].append(f)
 
     tab: list[int] = []
     parent: list[int] = []
@@ -139,19 +198,19 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
                 if d == -1:
                     continue
                 tab[base + x] = -1
-                tab[d * W + (x ^ 1)] = -1
+                tab[d * W + IC[x]] = -1
                 mu = rep(g)
                 nu = rep(d)
                 xi = tab[mu * W + x]
                 if xi != -1:
                     merge(nu, xi)
                 else:
-                    ze = tab[nu * W + (x ^ 1)]
+                    ze = tab[nu * W + IC[x]]
                     if ze != -1:
                         merge(mu, ze)
                     else:
                         tab[mu * W + x] = nu
-                        tab[nu * W + (x ^ 1)] = mu
+                        tab[nu * W + IC[x]] = mu
                         ded.append(mu * W + x)
 
     def scan_generic(start: int, w: tuple[int, ...]):
@@ -171,7 +230,7 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
         b = start
         j = L - 1
         while j >= i:
-            prv = tab[b * W + (w[j] ^ 1)]
+            prv = tab[b * W + IC[w[j]]]
             if prv == -1:
                 break
             b = prv
@@ -179,10 +238,10 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
         if j < i:
             coincidence(f, b)
         elif j == i:
-            mate = tab[b * W + (w[i] ^ 1)]
+            mate = tab[b * W + IC[w[i]]]
             if mate == -1:
                 tab[f * W + w[i]] = b
-                tab[b * W + (w[i] ^ 1)] = f
+                tab[b * W + IC[w[i]]] = f
                 ded.append(f * W + w[i])
             elif mate != f:
                 coincidence(f, mate)
@@ -196,23 +255,6 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
         abase = alpha * W
         bbase = beta * W
         edge_slot = abase + s
-        if rot1_selfloop[s] and alpha != beta:
-            coincidence(alpha, beta)
-            return
-        for u in rot2[s]:
-            w0 = tab[bbase + u]
-            if w0 == -1:
-                m = tab[abase + (u ^ 1)]
-                if m == -1:
-                    tab[bbase + u] = alpha
-                    tab[abase + (u ^ 1)] = beta
-                    ded.append(beta * W + u)
-                elif m != beta:
-                    coincidence(beta, m)
-            elif w0 != alpha:
-                coincidence(w0, alpha)
-            if parent[alpha] != alpha or tab[edge_slot] != beta:
-                return
         pairs = rot3[s]
         for idx in range(0, len(pairs), 2):
             u = pairs[idx]
@@ -222,22 +264,22 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
                 zslot = z * W + v
                 w0 = tab[zslot]
                 if w0 == -1:
-                    m = tab[abase + (v ^ 1)]
+                    m = tab[abase + IC[v]]
                     if m == -1:
                         tab[zslot] = alpha
-                        tab[abase + (v ^ 1)] = z
+                        tab[abase + IC[v]] = z
                         ded.append(z * W + v)
                     elif m != z:
                         coincidence(z, m)
                 elif w0 != alpha:
                     coincidence(w0, alpha)
             else:
-                t0 = tab[abase + (v ^ 1)]
+                t0 = tab[abase + IC[v]]
                 if t0 != -1:
-                    m = tab[t0 * W + (u ^ 1)]
+                    m = tab[t0 * W + IC[u]]
                     if m == -1:
                         tab[bbase + u] = t0
-                        tab[t0 * W + (u ^ 1)] = beta
+                        tab[t0 * W + IC[u]] = beta
                         ded.append(beta * W + u)
                     elif m != beta:
                         coincidence(beta, m)
@@ -259,9 +301,9 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
                 continue
             scan_edge(alpha, s, beta)
             if parent[beta] == beta:
-                a2 = tab[beta * W + (s ^ 1)]
+                a2 = tab[beta * W + IC[s]]
                 if a2 != -1:
-                    scan_edge(beta, s ^ 1, a2)
+                    scan_edge(beta, IC[s], a2)
 
     new_coset()
     exceeded = False
@@ -273,21 +315,22 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
                 alpha += 1
                 continue
             abase = alpha * W
-            s = 0
-            while s < W:
+            i = 0
+            while i < W:
                 if parent[alpha] != alpha:
                     break
+                s = order[i]
                 if tab[abase + s] == -1:
                     if len(parent) >= limit:
                         exceeded = True
                         break
                     beta = new_coset()
                     tab[abase + s] = beta
-                    tab[beta * W + (s ^ 1)] = alpha
+                    tab[beta * W + IC[s]] = alpha
                     ded.append(abase + s)
                     process_deductions()
                 else:
-                    s += 1
+                    i += 1
             alpha += 1
         if exceeded:
             break
@@ -305,20 +348,25 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
             break
         restart = gap
 
-    # compress live cosets, keeping their relative order (0 stays 0)
-    live = [x for x in range(len(parent)) if parent[x] == x]
-    renum = {old: new for new, old in enumerate(live)}
-    rows = []
-    for old in live:
-        base = old * W
-        rows.append(
-            [-1 if tab[base + s] == -1 else renum[tab[base + s]] for s in range(W)]
-        )
+    # compress live rows in place, keeping their relative order (0 stays 0)
+    high_water = len(parent)
+    live = [x for x in range(high_water) if parent[x] == x]
+    if dead:
+        renum = [-1] * (high_water + 1)  # renum[-1] keeps empty slots empty
+        for new, old in enumerate(live):
+            renum[old] = new
+        for new, old in enumerate(live):
+            tab[new * W : (new + 1) * W] = map(
+                renum.__getitem__, tab[old * W : (old + 1) * W]
+            )
+        del tab[len(live) * W :]
     return CosetTable(
         presentation=P,
         state=LIMIT_EXCEEDED if exceeded else CLOSED,
         coset_count=len(live),
-        high_water=len(parent),
+        high_water=high_water,
         limit=limit,
-        table=rows,
+        table=tab,
+        width=W,
+        inverse_column=IC,
     )

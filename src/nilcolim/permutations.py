@@ -132,8 +132,7 @@ class StabilizerChain:
     def _orbit_transversal(self, beta: int, gens: list[tuple[int, ...]]):
         trans = {beta: identity_perm(self.degree)}
         queue = [beta]
-        while queue:
-            pt = queue.pop(0)
+        for pt in queue:  # the list grows while it is read: an index queue
             rep = trans[pt]
             for g in gens:
                 img = g[pt]

@@ -21,7 +21,7 @@ from .groups import (
 )
 
 # Building a presentation scans all ordered element pairs, and the coset
-# table carries two columns per generator; this cap keeps both reasonable.
+# table carries one column per generator; this cap keeps both reasonable.
 PRESENTATION_MAX_ORDER = 4096
 
 Word = tuple[int, ...]

@@ -1,6 +1,8 @@
 """CLI commands: outputs, exit codes, JSON schema round-trips."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -228,3 +230,12 @@ def test_text_output_mentions_key_facts(capsys):
     assert "theorem1: PASS" in out
     code, out = run(capsys, "info", "quaternion")
     assert "order 8" in out
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """Start-up cost: importing the CLI must not import numpy (about 0.1 s)."""
+    code = "import sys, nilcolim.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -176,20 +176,19 @@ def test_sequence_images_span_complement_of_k():
         G, basis = extraspecial_symplectic_basis(p, 2)
         S, inner, _ = span_as_group(check_symplectic(G, basis))
         t = tc(build_presentation(S, 2))
-        cols = []
-        for e in inner.elements:
-            cols.extend((t.column(e), t.column(-e)))
+        gens = [s for e in inner.elements for s in (e, -e)]
         seen = {0}
         frontier = [0]
         while frontier:
             new = []
             for x in frontier:
-                for col in cols:
-                    y = t.table[x][col]
+                for s in gens:
+                    y = t.trace((s,), x)
                     if y not in seen:
                         seen.add(y)
                         new.append(y)
             frontier = new
+        assert seen == {0} | {y for _, _, y in t.breadth_first(gens)}
         assert len(seen) == S.order           # a complement: one per element
         assert t.coset_count == p * S.order   # the kernel <k> is missing
         assert trace_word(t, k_word(S, inner)) not in seen

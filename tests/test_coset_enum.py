@@ -1,6 +1,10 @@
 """The Felsch enumerator on colimit presentations and on classic ones."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcolim import build
 from nilcolim.coset_enum import (
@@ -19,6 +23,21 @@ def _manual(ngens, relators, limit=10 ** 6):
         relators=[tuple(r) for r in relators],
     )
     return todd_coxeter(P, limit)
+
+
+def _assert_closed_action(t, relators):
+    """Every column permutes the cosets, column ``inverse_column[c]`` undoes
+    column c (and the map is an involution), and every relator fixes every
+    coset."""
+    n, W, IC = t.coset_count, t.width, t.inverse_column
+    assert t.closed and len(t.table) == n * W
+    assert all(IC[IC[c]] == c for c in range(W))
+    for c in range(W):
+        col = [t.table[x * W + c] for x in range(n)]
+        assert sorted(col) == list(range(n))  # each column is a permutation
+        assert all(t.table[y * W + IC[c]] == x for x, y in enumerate(col))
+    for w in relators:
+        assert all(t.trace(w, x) == x for x in range(n))
 
 
 # -- classic presentations (exercise coincidences and generic scans) -----------
@@ -63,6 +82,28 @@ def test_limit_behavior():
 def test_free_group_hits_limit():
     t = _manual(2, [], limit=50)
     assert t.state == LIMIT_EXCEEDED
+
+
+# -- how the inverse columns are derived ------------------------------------------
+
+@pytest.mark.parametrize("ngens,relators,order,ic", [
+    # a self-paired involution shares one column with its inverse
+    (1, [(1, 1)], 2, [0]),
+    # mutual unique partners share a column pair
+    (2, [(1, 2), (2, 1), (1, 1, 1)], 3, [1, 0]),
+    # 1 has two partners: nobody pairs, all keep formal inverse columns
+    (3, [(1, 2), (1, 3), (1, 1, 1)], 3, [3, 4, 5, 0, 1, 2]),
+    # no length-2 relators at all
+    (2, [(1, 1, 1, 1), (1, 1, -2, -2), (2, 1, -2, 1)], 8, [2, 3, 0, 1]),
+])
+def test_inverse_column_pairing(ngens, relators, order, ic):
+    t = _manual(ngens, relators)
+    assert t.coset_count == order
+    assert t.inverse_column == ic and t.width == len(ic)
+    _assert_closed_action(t, relators)
+    for j in range(1, ngens + 1):
+        for x in range(order):
+            assert t.trace((j, -j), x) == x == t.trace((-j, j), x)
 
 
 def test_bad_limit():
@@ -113,7 +154,8 @@ def test_determinism():
     P = build_presentation(G, 2)
     a = todd_coxeter(P)
     b = todd_coxeter(P)
-    assert a.table == b.table and a.high_water == b.high_water
+    assert (a.width, a.inverse_column, a.table) == (b.width, b.inverse_column, b.table)
+    assert a.high_water == b.high_water
 
 
 def test_all_relators_trace_to_zero_everywhere():
@@ -155,12 +197,69 @@ def test_trivial_presentation_closes_instantly():
 
 def test_closed_table_is_complete_permutation_action():
     G = build("extraspecial:2:2")
+    P = build_presentation(G, 2)
+    t = todd_coxeter(P)
+    # every colimit generator is paired with its inverse element's column
+    assert t.width == P.num_generators
+    assert all(t.column(-j) == G.inverse(j) - 1 for j in P.generators)
+    _assert_closed_action(t, P.relators)
+
+
+def test_breadth_first_tree():
+    """One tree edge per non-zero coset, parents discovered first, in the
+    order +1, -1, +2, -2, ... of a shortest-first search."""
+    G = build("extraspecial:2:2")
     t = todd_coxeter(build_presentation(G, 2))
-    W = 2 * t.presentation.num_generators
-    n = t.coset_count
-    for s in range(W):
-        col = [t.table[x][s] for x in range(n)]
-        assert sorted(col) == list(range(n))  # each column is a permutation
-    for x in range(n):
-        for s in range(0, W, 2):
-            assert t.table[t.table[x][s]][s + 1] == x  # inverse pairing
+    edges = list(t.breadth_first())
+    assert sorted(y for _, _, y in edges) == list(range(1, t.coset_count))
+    depth = {0: 0}
+    for x, s, y in edges:
+        assert x in depth and t.trace((s,), x) == y
+        depth[y] = depth[x] + 1
+    assert [depth[y] for _, _, y in edges] == sorted(depth[y] for _, _, y in edges)
+    assert edges[0] == (0, 1, t.trace((1,)))
+    only_one = list(t.breadth_first([1, -1]))
+    assert len(only_one) == G.element_order(1) - 1
+    with pytest.raises(TableNotClosedError):
+        next(_manual(2, [], limit=5).breadth_first())
+
+
+# -- independent oracles -----------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [
+    "cyclic:4", "product:(cyclic:2),(cyclic:2)", "cyclic:6",
+])
+def test_order_matches_sympy_coset_enumeration(spec):
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.free_groups import free_group
+
+    P = build_presentation(build(spec), 2)
+    F, *x = free_group(",".join(f"x{j}" for j in P.generators))
+    rels = []
+    for w in P.relators:
+        r = F.identity
+        for s in w:
+            r = r * (x[s - 1] if s > 0 else x[-s - 1] ** -1)
+        rels.append(r)
+    t = todd_coxeter(P)
+    assert t.closed and t.coset_count == FpGroup(F, rels).order()
+
+
+def _product_spec(orders):
+    spec = f"cyclic:{orders[0]}"
+    for n in orders[1:]:
+        spec = f"product:({spec}),(cyclic:{n})"
+    return spec
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
+    lambda orders: math.prod(orders) <= 16
+))
+def test_abelian_colimit_is_the_group(orders):
+    """For abelian G the colimit is G itself: the table closes at |G|."""
+    G = build(_product_spec(orders))
+    P = build_presentation(G, 2)
+    t = todd_coxeter(P)
+    assert t.closed and t.coset_count == G.order
+    _assert_closed_action(t, P.relators)
