@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .groups import FiniteGroup, closure, nilpotency_class
+from .groups import FiniteGroup, centralizer, closure, nilpotency_class
 from .presentations import Presentation, build_presentation
 from .snf import SNFResult, smith_normal_form
 
@@ -36,37 +36,36 @@ def hom_count(G: FiniteGroup, n: int, q: int = 2) -> int:
     order = G.order
     G.elements()  # enforce the materialization ceiling
     if q == 2:
-        cent = _centralizer_lists(G, include_identity=True)
+        cent = [centralizer(G, g) for g in range(order)]
         total = 0
         for g in range(order):  # the first coordinate is unconstrained
             total += _count_commuting_extensions(G, cent, [g], n - 1)
         return total
-    memo: dict[frozenset, Optional[int]] = {}
+    admissible = _span_gate(G, q)
 
-    def span_class_ok(members: frozenset, gens: list[int]) -> bool:
-        got = memo.get(members)
-        if got is None and members not in memo:
-            got = nilpotency_class(closure(G, gens))
-            memo[members] = got
-        else:
-            got = memo[members]
-        return got is not None and got < q
+    def count(tup: tuple[int, ...]) -> int:
+        if len(tup) == n:
+            return 1
+        return sum(count(tup + (g,)) for g in range(order) if admissible(tup, g))
 
-    total = 0
+    return count(())
 
-    def extend(gens: list[int], depth: int):
-        nonlocal total
-        if depth == n:
-            total += 1
-            return
-        for g in range(order):
-            new_gens = gens + [g]
-            members = frozenset(closure(G, new_gens).members)
-            if span_class_ok(members, new_gens):
-                extend(new_gens, depth + 1)
 
-    extend([], 0)
-    return total
+def _span_gate(G: FiniteGroup, q: int):
+    """admissible(partial, g): does partial + (g,) span a class-<q subgroup?"""
+    if q == 2:
+        cent = [centralizer(G, g) for g in G.elements()]
+        return lambda partial, g: all(g in cent[h] for h in partial)
+    memo: dict[tuple[int, ...], Optional[int]] = {}  # span members -> class
+
+    def admissible(partial: tuple[int, ...], g: int) -> bool:
+        span = closure(G, partial + (g,))
+        if span.members not in memo:
+            memo[span.members] = nilpotency_class(span)
+        cls = memo[span.members]
+        return cls is not None and cls < q
+
+    return admissible
 
 
 def _count_commuting_extensions(G, cent, partial, remaining) -> int:
@@ -81,17 +80,6 @@ def _count_commuting_extensions(G, cent, partial, remaining) -> int:
             out += _count_commuting_extensions(G, cent, partial, remaining - 1)
             partial.pop()
     return out
-
-
-def _centralizer_lists(G: FiniteGroup, include_identity: bool) -> list[frozenset[int]]:
-    order = G.order
-    lo = 0 if include_identity else 1
-    return [
-        frozenset(
-            h for h in range(lo, order) if G.multiply(g, h) == G.multiply(h, g)
-        )
-        for g in range(order)
-    ]
 
 
 @dataclass
@@ -137,26 +125,9 @@ def _simplices(G: FiniteGroup, q: int, n: int, cap: int) -> list[tuple[int, ...]
     order = G.order
     G.elements()
     out: list[tuple[int, ...]] = []
-    if q == 2:
-        cent = _centralizer_lists(G, include_identity=False)
+    admissible = _span_gate(G, q)
 
-        def extend(partial: tuple[int, ...]):
-            if len(partial) == n:
-                out.append(partial)
-                if len(out) > cap:
-                    raise BudgetExceededError(
-                        f"{G.label}: more than {cap} simplices in dimension {n}"
-                    )
-                return
-            for g in range(1, order):
-                if all(g in cent[h] for h in partial):
-                    extend(partial + (g,))
-
-        extend(())
-        return out
-    memo: dict[frozenset, Optional[int]] = {}
-
-    def extend_q(partial: tuple[int, ...]):
+    def extend(partial: tuple[int, ...]):
         if len(partial) == n:
             out.append(partial)
             if len(out) > cap:
@@ -165,17 +136,10 @@ def _simplices(G: FiniteGroup, q: int, n: int, cap: int) -> list[tuple[int, ...]
                 )
             return
         for g in range(1, order):
-            gens = list(partial) + [g]
-            members = frozenset(closure(G, gens).members)
-            if members in memo:
-                cls = memo[members]
-            else:
-                cls = nilpotency_class(closure(G, gens))
-                memo[members] = cls
-            if cls is not None and cls < q:
-                extend_q(partial + (g,))
+            if admissible(partial, g):
+                extend(partial + (g,))
 
-    extend_q(())
+    extend(())
     return out
 
 

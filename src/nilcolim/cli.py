@@ -13,6 +13,7 @@ from typing import Optional
 
 from .bar_complex import BudgetExceededError, DEFAULT_MAX_SIMPLICES, h1_consistency, hom_count, homology
 from .colimit import (
+    D2_MEMBERS_MAX_ORDER,
     conjecture_probe,
     d2,
     d2_antidiagonal_generation,
@@ -136,12 +137,12 @@ def cmd_verdict(args) -> tuple[dict, int]:
             result, G, args.budget, structure,
         )
     d2_sec = None
-    if G.materialized and G.order <= 1024:
-        sub = d2(G)
+    if G.materialized and G.order <= D2_MEMBERS_MAX_ORDER:
+        sub = (v.theorem1 and v.theorem1.parent_d2) or d2(G)
         d2_sec = d2_section(
             sub.order,
             sub.derived_order,
-            d2_antidiagonal_generation(G),
+            d2_antidiagonal_generation(G, sub),
             d2_projection_kernel_is_derived(G, sub),
         )
     thm_sec = None

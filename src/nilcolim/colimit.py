@@ -20,6 +20,7 @@ from .coset_enum import (
     trace_word,
 )
 from .groups import (
+    CAYLEY_MAX_ORDER,
     FiniteGroup,
     GroupTooLargeError,
     closure,
@@ -46,8 +47,9 @@ from .symplectic import (
     find_symplectic,
 )
 
-# explicit D2 member sets are materialized for groups up to this order
-D2_MEMBERS_MAX_ORDER = 1 << 10
+# explicit D2 member sets are materialized for groups up to this order, where
+# the n^2 member scan reads the group's Cayley table
+D2_MEMBERS_MAX_ORDER = CAYLEY_MAX_ORDER
 
 MERGE_EXHAUSTIVE_MAX_SPAN = 256
 MERGE_SAMPLE_PAIRS = 512
@@ -87,9 +89,11 @@ def d2(G: FiniteGroup) -> D2Subgroup:
     return D2Subgroup(G, order, derived.order, members)
 
 
-def d2_antidiagonal_generation(G: FiniteGroup) -> bool:
-    """Does {(g, g^-1)} generate all of D2(G) inside G x G?"""
-    target = d2(G)
+def d2_antidiagonal_generation(
+    G: FiniteGroup, target: Optional[D2Subgroup] = None
+) -> bool:
+    """Does {(g, g^-1)} generate all of D2(G) (``target``, if given) inside G x G?"""
+    target = target or d2(G)
     if target.members is None:
         raise GroupTooLargeError(
             f"{G.label}: antidiagonal generation needs the explicit member set"
@@ -303,6 +307,7 @@ class Theorem1Report:
     s_group: FiniteGroup = field(repr=False, default=None)
     sequence: SymplecticSequence = field(repr=False, default=None)
     table: Optional[CosetTable] = field(repr=False, default=None)
+    parent_d2: Optional[D2Subgroup] = field(repr=False, default=None)
 
 
 def theorem1_verify(
@@ -323,28 +328,26 @@ def theorem1_verify(
     d2sub = d2(S)
     P = build_presentation(S, 2)
     t = todd_coxeter(P, coset_limit)
-    inclusion_ok = _d2_members_included(seq, S, to_parent, d2sub)
+    G = seq.group
+    parent_d2 = d2(G) if G.materialized and G.order <= D2_MEMBERS_MAX_ORDER else None
+    inclusion_ok = _d2_members_included(to_parent, d2sub, parent_d2)
     if not t.closed:
         return Theorem1Report(
             "INCONCLUSIVE", S.order, d2sub.order, None, t.state, None,
-            inclusion_ok, S, inner, t,
+            inclusion_ok, S, inner, t, parent_d2,
         )
     kern = epsilon_kernel(S, t, inner)
     verdict = "PASS" if t.coset_count == d2sub.order else "FAIL"
     return Theorem1Report(
         verdict, S.order, d2sub.order, t.coset_count, t.state, kern,
-        inclusion_ok, S, inner, t,
+        inclusion_ok, S, inner, t, parent_d2,
     )
 
 
-def _d2_members_included(seq, S, to_parent, d2_of_s) -> Optional[bool]:
+def _d2_members_included(to_parent, d2_of_s, parent_d2) -> Optional[bool]:
     """D2(S) ⊆ D2(G) as pair sets, when the parent is small enough to scan."""
-    G = seq.group
-    if not G.materialized or G.order > D2_MEMBERS_MAX_ORDER:
+    if parent_d2 is None or d2_of_s.members is None:
         return None
-    if d2_of_s.members is None:
-        return None
-    parent_d2 = d2(G)
     return all(
         (to_parent[x], to_parent[y]) in parent_d2.members
         for (x, y) in d2_of_s.members

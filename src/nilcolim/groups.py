@@ -9,6 +9,11 @@ Larger groups (ambient symmetric groups, big matrix groups) keep a lazy
 registry: elements get ids in discovery order and operations that would need
 the full carrier raise GroupTooLargeError instead.
 
+Materialized groups of order <= CAYLEY_MAX_ORDER multiply and invert by
+lookup in one Cayley table, built on the first ``multiply`` or ``inverse``
+(never at construction) and kept for the group's lifetime: n^2 list cells of
+8 bytes, at most 8 MB at the cap.  Lazy and larger groups multiply keys.
+
 Groups and subgroups are immutable once materialized; lazy registries only
 grow.  All caches are ordinary dicts guarded by the GIL; everything here is
 safe to share across threads as long as ids are treated as opaque.
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 MAX_ENUMERATED_ORDER = 1 << 20
-TABLE_ASSOC_CHECK_MAX = 512
+CAYLEY_MAX_ORDER = 1 << 10  # n^2 cells of 8 bytes: at most 8 MB per group
 
 # [K, H] is computed by the literal all-pairs commutator scan below this
 # many pairs, and by normal closure of generator commutators above it.
@@ -40,7 +45,9 @@ class FiniteGroup:
 
     ``mul_key``/``inv_key`` operate on backing keys (permutation tuples,
     matrix tuples, structured tuples, or raw table indices); the id layer is
-    built on top of them.
+    built on top of them.  Up to CAYLEY_MAX_ORDER, a materialized group
+    answers ``multiply``/``inverse`` from a Cayley table built on the first
+    such call (8 bytes per cell); an id >= order raises IndexError.
     """
 
     def __init__(
@@ -67,7 +74,11 @@ class FiniteGroup:
         self._key_of: list = []
         self._id_of: dict = {}
         self._pair_class_cache: dict[tuple[int, int], Optional[int]] = {}
+        self._centralizers: dict[int, frozenset[int]] = {}
+        self._derived: Optional[Subgroup] = None
         self._is_abelian: Optional[bool] = None
+        self._cols: Optional[list[list[int]]] = None  # () when keyed
+        self._inv: list[int] = []
         gen_keys = list(generator_keys)
         self.materialized = order <= MAX_ENUMERATED_ORDER
         if element_keys is not None:
@@ -117,10 +128,48 @@ class FiniteGroup:
         return 0
 
     def multiply(self, a: int, b: int) -> int:
+        cols = self._cols if self._cols is not None else self.cayley_columns()
+        if cols:
+            return cols[b][a]
         return self._register(self._mul_key(self._key_of[a], self._key_of[b]))
 
     def inverse(self, a: int) -> int:
+        cols = self._cols if self._cols is not None else self.cayley_columns()
+        if cols:
+            return self._inv[a]
         return self._register(self._inv_key(self._key_of[a]))
+
+    def cayley_columns(self) -> list[list[int]]:
+        """``cols[b][a] == a*b``; empty for lazy groups and past CAYLEY_MAX_ORDER.
+
+        One column per generator by key multiplication, the rest by BFS over
+        the Cayley graph: col(y*g)[x] = col(g)[col(y)[x]], built in place.
+        """
+        if self._cols is not None:
+            return self._cols
+        n = self.order
+        if not self.materialized or n > CAYLEY_MAX_ORDER:
+            self._cols = ()
+            return self._cols
+        key_of, id_of, mul = self._key_of, self._id_of, self._mul_key
+        gen_cols = {
+            g: [id_of[mul(k, key_of[g])] for k in key_of] for g in self.generators
+        }
+        cols: list = [None] * n
+        cols[0] = list(range(n))
+        queue = [0]
+        for y in queue:
+            col_y = cols[y]
+            for col_g in gen_cols.values():
+                z = col_g[y]
+                if cols[z] is None:
+                    cols[z] = gen_cols.get(z) or [col_g[x] for x in col_y]
+                    queue.append(z)
+        if len(queue) != n:
+            raise ValueError(f"{self.label}: the generators do not generate")
+        self._inv = [col.index(0) for col in cols]
+        self._cols = cols
+        return cols
 
     def power(self, a: int, n: int) -> int:
         if n < 0:
@@ -314,9 +363,23 @@ def _normal_closure(G: FiniteGroup, seeds: Sequence[int], conj_gens: Sequence[in
 
 
 def derived_subgroup(H) -> Subgroup:
-    """Commutator subgroup [H, H]."""
-    sub = _as_subgroup(H)
-    return _commutator_subgroup_of(sub, sub)
+    """Commutator subgroup [H, H], computed once per whole group."""
+    if isinstance(H, Subgroup):
+        return _commutator_subgroup_of(H, H)
+    if H._derived is None:
+        H._derived = derived_subgroup(full_subgroup(H))
+    return H._derived
+
+
+def centralizer(G: FiniteGroup, g: int) -> frozenset[int]:
+    """Member ids of C_G(g), identity included, computed once per element."""
+    got = G._centralizers.get(g)
+    if got is None:
+        mul = G.multiply
+        got = G._centralizers[g] = frozenset(
+            h for h in G.elements() if mul(g, h) == mul(h, g)
+        )
+    return got
 
 
 def center(H) -> Subgroup:
@@ -376,14 +439,11 @@ def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
     """Partition of element ids into conjugacy classes, ordered by minimum."""
     n = len(G.elements())
     seen = [False] * n
-    inverses = [G.inverse(x) for x in range(n)]
     out = []
     for a in range(n):
         if seen[a]:
             continue
-        orbit = set()
-        for x in range(n):
-            orbit.add(G.multiply(G.multiply(x, a), inverses[x]))
+        orbit = {G.conjugate(a, x) for x in range(n)}
         for b in orbit:
             seen[b] = True
         out.append(tuple(sorted(orbit)))
@@ -482,8 +542,10 @@ def abelianization(G: FiniteGroup) -> tuple[FiniteGroup, MapTable]:
 #   line 1: n (the order)
 #   lines 2..n+1: n whitespace-separated 0-based ids; row g, column h holds g*h
 #
-# Id 0 must be the identity.  Associativity is checked exhaustively for
-# n <= TABLE_ASSOC_CHECK_MAX; all other table invariants are always checked.
+# Id 0 must be the identity.  Associativity is decided by Light's test,
+# (x*g)*y == x*(g*y) for all x, y and each greedy generator g, in
+# O(|gens| n^2).  It is exact: such g are closed under products, and the
+# greedy closure writes every element as a product of generators.
 # ---------------------------------------------------------------------------
 
 def load_multiplication_table(path) -> FiniteGroup:
@@ -508,11 +570,12 @@ def load_multiplication_table(path) -> FiniteGroup:
     if any(x < 0 or x >= n for x in flat):
         raise InvalidTableError(f"{path}: entry out of range 0..{n - 1}")
     rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-    _validate_table(rows, str(path))
-    return group_from_table_rows(rows, label=f"table:{path}")
+    gens = _validate_table(rows, str(path))
+    return group_from_table_rows(rows, gens, label=f"table:{path}")
 
 
-def _validate_table(rows: list[list[int]], where: str):
+def _validate_table(rows: list[list[int]], where: str) -> list[int]:
+    """Check the group axioms; return the greedy generating set."""
     n = len(rows)
     for g in range(n):
         if rows[0][g] != g or rows[g][0] != g:
@@ -523,46 +586,43 @@ def _validate_table(rows: list[list[int]], where: str):
     for g in range(n):
         if 0 not in rows[g]:
             raise InvalidTableError(f"{where}: element {g} has no inverse")
-    if n <= TABLE_ASSOC_CHECK_MAX:
-        import numpy as np
+    import numpy as np
 
-        t = np.array(rows, dtype=np.int64)
-        for a in range(n):
-            if not np.array_equal(t[t[a], :], t[a][t]):
-                raise InvalidTableError(f"{where}: associativity fails at row {a}")
+    t = np.array(rows, dtype=np.int64)
+    gens = _greedy_generators(rows)
+    for g in gens:
+        if not np.array_equal(t[t[:, g]], t[:, t[g]]):
+            raise InvalidTableError(f"{where}: associativity fails at generator {g}")
+    return gens
+
+
+def _greedy_generators(rows: list[list[int]]) -> list[int]:
+    """Repeatedly adjoin the least element outside the closure so far."""
+    n = len(rows)
+    generators: list[int] = []
+    have = {0}
+    while len(have) < n:
+        generators.append(min(set(range(n)) - have))
+        frontier = [0]
+        have = {0}
+        while frontier:
+            new = []
+            for x in frontier:
+                for g in generators:
+                    y = rows[x][g]
+                    if y not in have:
+                        have.add(y)
+                        new.append(y)
+            frontier = new
+    return generators
 
 
 def group_from_table_rows(
-    rows: list[list[int]],
-    generators: Optional[Sequence[int]] = None,
-    names: Optional[Sequence[str]] = None,
-    label: str = "table",
+    rows: list[list[int]], generators: Sequence[int], label: str = "table"
 ) -> FiniteGroup:
-    """Group over explicit table rows; ids are the given table indices.
-
-    When no generator list is supplied, a small one is derived greedily:
-    repeatedly adjoin the least element outside the closure so far.
-    """
+    """Group over explicit table rows; ids are the given table indices."""
     n = len(rows)
     inv = [rows[g].index(0) for g in range(n)]
-    if generators is None:
-        generators = []
-        have = {0}
-        while len(have) < n:
-            nxt = min(set(range(n)) - have)
-            generators.append(nxt)
-            frontier = [0]
-            have = {0}
-            while frontier:
-                new = []
-                for x in frontier:
-                    for g in generators:
-                        y = rows[x][g]
-                        if y not in have:
-                            have.add(y)
-                            new.append(y)
-                frontier = new
-    name_fn = (lambda k: names[k]) if names is not None else (lambda k: str(k))
     return FiniteGroup(
         backing="table",
         order=n,
@@ -570,7 +630,6 @@ def group_from_table_rows(
         generator_keys=list(generators),
         mul_key=lambda a, b: rows[a][b],
         inv_key=lambda a: inv[a],
-        key_name=name_fn,
         label=label,
         element_keys=list(range(n)),
     )

@@ -55,19 +55,9 @@ def build_presentation(G: FiniteGroup, q: int) -> Presentation:
         )
     n = G.order
     relators: list[Word] = []
-    if q == 2:
-        # the pair gate is plain commutation; inline it for the n^2 scan
-        for g in range(1, n):
-            for h in range(1, n):
-                gh = G.multiply(g, h)
-                if gh != G.multiply(h, g):
-                    continue
-                relators.append((g, h) if gh == 0 else (-gh, g, h))
-    else:
-        for g in range(1, n):
-            for h in range(1, n):
-                if not pair_generates_class_below(G, g, h, q):
-                    continue
+    for g in range(1, n):
+        for h in range(1, n):
+            if pair_generates_class_below(G, g, h, q):
                 gh = G.multiply(g, h)
                 relators.append((g, h) if gh == 0 else (-gh, g, h))
     return Presentation(G, q, tuple(range(1, n)), relators)

@@ -15,6 +15,7 @@ from .groups import (
     FiniteGroup,
     GroupTooLargeError,
     Subgroup,
+    centralizer,
     closure,
     commutator,
     derived_subgroup,
@@ -159,17 +160,6 @@ def find_symplectic(
     used: set[int] = set()
     state = {"expanded": 0, "exhausted": True}
 
-    cent_cache: dict[int, frozenset[int]] = {}
-
-    def centralizer(g: int) -> frozenset[int]:
-        got = cent_cache.get(g)
-        if got is None:
-            got = frozenset(
-                h for h in range(n) if G.multiply(g, h) == G.multiply(h, g)
-            )
-            cent_cache[g] = got
-        return got
-
     def dfs(depth: int) -> Optional[tuple[int, ...]]:
         if depth == 2 * r:
             return tuple(assigned[p] for p in range(2 * r))
@@ -179,6 +169,8 @@ def find_symplectic(
         c = None
         if len(assigned) >= 2:
             c = commutator(G, assigned[0], assigned[r])
+        cents = [centralizer(G, h) for p, h in assigned.items() if p != partner]
+        allowed = frozenset.intersection(*cents) if cents else range(n)
         for g in range(1, n):
             if g in used:
                 continue
@@ -186,14 +178,7 @@ def find_symplectic(
                 state["exhausted"] = False
                 return None
             state["expanded"] += 1
-            ok = True
-            for p, h in assigned.items():
-                if p == partner:
-                    continue
-                if g not in centralizer(h):
-                    ok = False
-                    break
-            if not ok:
+            if g not in allowed:
                 continue
             if partner_val is not None:
                 cc = commutator(G, partner_val, g)
@@ -258,7 +243,7 @@ def structure_report(seq: SymplecticSequence) -> StructureReport:
     )
     bilinear: Optional[bool] = None
     if span.order <= BILINEARITY_MAX_SPAN:
-        bilinear = _bilinearity_exhaustive(G, span.members)
+        bilinear = _bilinearity_exhaustive(span)
     return StructureReport(
         span_order=span.order,
         c_order=G.element_order(seq.c) if seq.c != 0 else 1,
@@ -268,21 +253,26 @@ def structure_report(seq: SymplecticSequence) -> StructureReport:
     )
 
 
-def _bilinearity_exhaustive(G: FiniteGroup, members: tuple[int, ...]) -> bool:
-    """[xy, z] == [x, z][y, z] for all x, y, z in the member list."""
+def _bilinearity_exhaustive(span: Subgroup) -> bool:
+    """[xy, z] == [x, z][y, z] for all x, y, z in the span.
+
+    The member-index table is read off the parent's Cayley table, or off the
+    span's own when the parent is lazy.
+    """
     import numpy as np
 
+    G, members = span.parent, span.members
+    if not G.cayley_columns():
+        G = span.as_group()[0]
+        members = G.elements()
+    cols = G.cayley_columns()
     n = len(members)
-    idx = {m: i for i, m in enumerate(members)}
-    mul = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            mul[i, j] = idx[G.multiply(a, b)]
-    inv = np.array([idx[G.inverse(a)] for a in members], dtype=np.int32)
-    # comm[i, j] = index of [m_i, m_j] = mul[mul[i, j], mul[inv[i], inv[j]]]
-    comm = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        comm[i] = mul[mul[i], mul[inv[i]][inv]]
+    index = np.zeros(G.order, dtype=np.int32)
+    index[list(members)] = np.arange(n)
+    # mul[i, j] = index of m_i * m_j, comm[i, j] = index of [m_i, m_j]
+    mul = index[np.array([cols[b] for b in members], dtype=np.int32)[:, members].T]
+    inv = index[[G.inverse(a) for a in members]]
+    comm = mul[mul, mul[np.ix_(inv, inv)]]
     for z in range(n):
         cz = comm[:, z]
         lhs = cz[mul]                    # [xy, z]

@@ -150,6 +150,25 @@ def test_verdict_extraspecial(capsys):
     assert doc["d2"]["order"] == 64
 
 
+def test_verdict_computes_d2_once_per_group(capsys, monkeypatch):
+    import nilcolim.cli as cli_module
+    import nilcolim.colimit as colimit
+
+    groups = []
+    real_d2 = colimit.d2
+
+    def counted_d2(G):
+        groups.append(G)
+        return real_d2(G)
+
+    monkeypatch.setattr(colimit, "d2", counted_d2)
+    monkeypatch.setattr(cli_module, "d2", counted_d2)
+    code, doc, _ = run_json(capsys, "verdict", "extraspecial:2:2")
+    assert code == 0 and doc["d2"]["order"] == 64
+    # once for the span S inside theorem 1, once for the group itself
+    assert len(groups) == len({id(G) for G in groups}) == 2
+
+
 def test_verdict_abelian(capsys):
     code, doc, _ = run_json(capsys, "verdict", "cyclic:12")
     assert code == 0

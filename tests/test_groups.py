@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcolim import (
     GroupTooLargeError,
@@ -19,7 +21,15 @@ from nilcolim import (
     lower_central_series,
     nilpotency_class,
 )
-from nilcolim.groups import MapTable, full_subgroup, identity_map, inversion_map
+from nilcolim.groups import (
+    MapTable,
+    centralizer,
+    full_subgroup,
+    identity_map,
+    inversion_map,
+)
+from nilcolim.constructions import symmetric_group
+from nilcolim.permutations import format_cycles
 
 import oracles as O
 
@@ -376,3 +386,116 @@ def test_full_subgroup_and_center_of_subgroup():
     sub = full_subgroup(e22)
     assert center(sub).order == 2
     assert derived_subgroup(sub).order == 2
+
+
+def test_table_file_rejects_non_associative_loop_of_order_600(tmp_path):
+    # Z/600 is a group and loads; swapping the intercalate {1, 301} x {2, 302}
+    # keeps a Latin square with identity 0 that is not associative
+    n = 600
+    rows = [[(a + b) % n for b in range(n)] for a in range(n)]
+    assert load_multiplication_table(_write_table(tmp_path, rows)).order == n
+    a, c = 1, 2
+    for x in (a, a + n // 2):
+        rows[x][c], rows[x][c + n // 2] = rows[x][c + n // 2], rows[x][c]
+    assert all(sorted(r) == list(range(n)) for r in rows)
+    assert all(sorted(col) == list(range(n)) for col in zip(*rows))
+    with pytest.raises(InvalidTableError, match="associativity"):
+        load_multiplication_table(_write_table(tmp_path, rows))
+
+
+# -- the Cayley table against the keyed backing --------------------------------
+
+_FACTORS = ["cyclic:2", "cyclic:3", "cyclic:4", "sym:3", "quaternion"]
+
+
+def _keyed_multiply(G, a, b):
+    return G.id_of_key(G._mul_key(G.key_of(a), G.key_of(b)))
+
+
+@st.composite
+def _perm_specs(draw, max_degree=5):
+    degree = draw(st.integers(2, max_degree))
+    perms = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return "perm:" + ";".join(format_cycles(p) for p in perms)
+
+
+@st.composite
+def _small_specs(draw):
+    kind = draw(st.sampled_from(["product", "perm", "dihedral"]))
+    if kind == "dihedral":
+        return f"dihedral:{draw(st.integers(2, 12))}"
+    if kind == "product":
+        left, right = draw(st.sampled_from(_FACTORS)), draw(st.sampled_from(_FACTORS))
+        return f"product:({left}),({right})"
+    return draw(_perm_specs())
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_specs())
+def test_cayley_table_matches_keyed_arithmetic(spec):
+    G = build(spec)
+    ids = G.elements()
+    assert [[G.multiply(a, b) for b in ids] for a in ids] == [
+        [_keyed_multiply(G, a, b) for b in ids] for a in ids
+    ]
+    assert [G.inverse(a) for a in ids] == [
+        G.id_of_key(G._inv_key(G.key_of(a))) for a in ids
+    ]
+    assert len(G.cayley_columns()) == G.order
+
+
+def test_cayley_table_is_built_on_first_use():
+    G = symmetric_group(5)  # a fresh group, not the build() cache's
+    assert G._cols is None
+    assert G.inverse(1) == G.id_of_key(G._inv_key(G.key_of(1)))
+    assert len(G.cayley_columns()) == 120 and len(G._inv) == 120
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "sym:7", "sym:16"])
+def test_out_of_range_ids_raise(spec):
+    G = build(spec)
+    n = G.order if G.materialized else len(G._key_of)
+    with pytest.raises(IndexError):
+        G.multiply(0, n)
+    with pytest.raises(IndexError):
+        G.multiply(n, 0)
+    with pytest.raises(IndexError):
+        G.inverse(n)
+    # only materialized groups up to order 1024 are tabulated
+    assert bool(G.cayley_columns()) == (spec == "sym:4")
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS)
+def test_centralizer_is_the_commuting_set(spec):
+    G = build(spec)
+    for g in G.elements():
+        assert centralizer(G, g) == {
+            h for h in G.elements()
+            if _keyed_multiply(G, g, h) == _keyed_multiply(G, h, g)
+        }
+    # sum over g of |C(g)| = (number of classes) * |G|
+    assert sum(len(centralizer(G, g)) for g in G.elements()) == (
+        len(conjugacy_classes(G)) * G.order
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(_perm_specs(max_degree=6))
+def test_derived_and_center_match_sympy(spec):
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    G = build(spec)
+    degree = max(len(G.key_of(0)), 1)
+    oracle = PermutationGroup(
+        [Permutation(list(G.key_of(g)), size=degree) for g in G.generators]
+        or [Permutation(degree - 1)]
+    )
+    assert G.order == oracle.order()
+    assert derived_subgroup(G).order == oracle.derived_subgroup().order()
+    assert center(G).order == oracle.center().order()
+
+
+def test_derived_subgroup_is_computed_once_per_group():
+    G = symmetric_group(4)
+    assert derived_subgroup(G) is derived_subgroup(G)
+    assert derived_subgroup(G).order == 12

@@ -2,19 +2,21 @@
 
 import pytest
 
-from nilcolim import build, commutator
+from nilcolim import build, closure, commutator, nilpotency_class
 from nilcolim.constructions import (
     embed_gl_in_sym,
     extraspecial_symplectic_basis,
     gl_symplectic_sequence,
     seeded_gl_sequence_in_sym,
 )
-from nilcolim.groups import GroupTooLargeError
+from nilcolim.groups import GroupTooLargeError, full_subgroup
+from nilcolim.permutations import parse_cycles
 from nilcolim.symplectic import (
     ExhaustedNone,
     NotFoundWithinBudget,
     SymplecticSequence,
     Violation,
+    _bilinearity_exhaustive,
     canonical_form,
     check_symplectic,
     find_symplectic,
@@ -194,6 +196,23 @@ def test_structure_report_gl():
     gl, ids = gl_symplectic_sequence(4, 2)
     rep = structure_report(check_symplectic(gl, ids))
     assert rep.all_passed and rep.span_order == 32 and rep.c_order == 2
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic:6", "quaternion", "dihedral:4", "extraspecial:2:2",
+    "extraspecial:3:1", "sym:3", "alt:4", "dihedral:6",
+])
+def test_bilinearity_is_class_at_most_two(spec):
+    # [xy, z] = [x, z][y, z] for all x, y, z exactly when [G, G] is central
+    G = build(spec)
+    assert _bilinearity_exhaustive(full_subgroup(G)) == (nilpotency_class(G) in (1, 2))
+
+
+def test_bilinearity_inside_a_lazy_parent():
+    sym16, ids = seeded_gl_sequence_in_sym(16)
+    assert _bilinearity_exhaustive(closure(sym16, ids))
+    s3 = closure(sym16, [sym16.id_of_key(parse_cycles(c, 16)) for c in ("(1 2)", "(1 2 3)")])
+    assert s3.order == 6 and not _bilinearity_exhaustive(s3)
 
 
 def test_find_soundness_randomized_groups():
