@@ -272,22 +272,6 @@ def k_word(S: FiniteGroup, seq: SymplecticSequence, i: int = 1) -> Word:
     )
 
 
-def span_as_group(
-    seq: SymplecticSequence,
-) -> tuple[FiniteGroup, SymplecticSequence, tuple[int, ...]]:
-    """Materialize S = <sequence> standalone; re-certify the sequence there.
-
-    Returns (S, sequence over S, to_parent id map).
-    """
-    sub = closure(seq.group, seq.elements)
-    S, to_parent = sub.as_group()
-    back = {p: i for i, p in enumerate(to_parent)}
-    inner = check_symplectic(S, [back[e] for e in seq.elements])
-    if not isinstance(inner, SymplecticSequence):
-        raise AssertionError(f"sequence failed to re-certify in its span: {inner}")
-    return S, inner, to_parent
-
-
 # ---------------------------------------------------------------------------
 # Theorem-level checks
 # ---------------------------------------------------------------------------
@@ -324,12 +308,16 @@ def theorem1_verify(
         raise ValueError("theorem 1 needs a nontrivial sequence")
     if seq.r < 2:
         raise ValueError("theorem 1 needs r >= 2")
-    S, inner, to_parent = span_as_group(seq)
+    S, inner, to_parent = seq.span
     d2sub = d2(S)
     P = build_presentation(S, 2)
     t = todd_coxeter(P, coset_limit)
     G = seq.group
-    parent_d2 = d2(G) if G.materialized and G.order <= D2_MEMBERS_MAX_ORDER else None
+    parent_d2 = None
+    if S is G:
+        parent_d2 = d2sub
+    elif G.materialized and G.order <= D2_MEMBERS_MAX_ORDER:
+        parent_d2 = d2(G)
     inclusion_ok = _d2_members_included(to_parent, d2sub, parent_d2)
     if not t.closed:
         return Theorem1Report(
@@ -550,7 +538,7 @@ def span_map_into_ambient_colimit(
         raise ValueError("ambient table does not belong to the sequence's group")
     if not g_table.closed:
         return None
-    S, inner, to_parent = span_as_group(seq)
+    S, inner, to_parent = seq.span
     if s_table is None:
         s_table = todd_coxeter(build_presentation(S, 2), g_table.limit)
     if not s_table.closed:
@@ -739,7 +727,7 @@ def kpi1_verdict(
             search,
             thm,
             thm.kernel,
-            thm.table if thm.s_order == G.order else None,
+            thm.table if thm.s_group is G else None,
             budgets,
         )
 

@@ -558,9 +558,16 @@ def embed_in_larger_sym(source: FiniteGroup, k: int) -> MapTable:
 
 
 def seeded_gl_sequence_in_sym(k: int) -> tuple[FiniteGroup, list[int]]:
-    """The gl:4:2 transvection sequence viewed inside sym:k (k >= 16)."""
+    """The gl:4:2 transvection sequence viewed inside sym:k (k >= 16).
+
+    The four transvections E_12, E_13, E_24, E_34 are built as permutations
+    of the 16 vectors directly; gl:4:2 itself is never materialized.
+    """
     if k < 16:
         raise SpecError(f"the seeded sequence needs at least 16 points, got {k}")
-    gl, ids = gl_symplectic_sequence(4, 2)
     target = build(GroupSpec("sym", (k,)))
-    return target, [target.id_of_key(extend(gl.key_of(i), k)) for i in ids]
+    perms = [
+        matrix_to_perm(elementary_matrix_tuple(4, 2, i, j), 4, 2)
+        for i, j in ((1, 2), (1, 3), (2, 4), (3, 4))
+    ]
+    return target, [target.id_of_key(extend(m, k)) for m in perms]

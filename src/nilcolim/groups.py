@@ -13,6 +13,9 @@ Materialized groups of order <= CAYLEY_MAX_ORDER multiply and invert by
 lookup in one Cayley table, built on the first ``multiply`` or ``inverse``
 (never at construction) and kept for the group's lifetime: n^2 list cells of
 8 bytes, at most 8 MB at the cap.  Lazy and larger groups multiply keys.
+A subgroup that is the whole parent materializes as the parent itself, so
+its Cayley table and derived subgroup are built once.  Commutator subgroups
+[K, H] come from one algorithm: the normal closure of generator commutators.
 
 Groups and subgroups are immutable once materialized; lazy registries only
 grow.  All caches are ordinary dicts guarded by the GIL; everything here is
@@ -26,10 +29,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 MAX_ENUMERATED_ORDER = 1 << 20
 CAYLEY_MAX_ORDER = 1 << 10  # n^2 cells of 8 bytes: at most 8 MB per group
-
-# [K, H] is computed by the literal all-pairs commutator scan below this
-# many pairs, and by normal closure of generator commutators above it.
-_BRUTE_COMMUTATOR_PAIRS = 1 << 22
 
 
 class GroupTooLargeError(RuntimeError):
@@ -271,10 +270,14 @@ class Subgroup:
         """Materialize as a standalone group.
 
         Returns (group, to_parent) where to_parent[i] is the parent id of the
-        element with id i in the new group.  Ids follow the canonical BFS
-        order from the subgroup generators, keyed by parent id.
+        element with id i in the new group.  The whole of a materialized
+        parent is the parent itself, with the identity map, so its Cayley
+        table and derived subgroup are shared.  Otherwise ids follow the
+        canonical BFS order from the subgroup generators, keyed by parent id.
         """
         parent = self.parent
+        if parent.materialized and self.order == parent.order:
+            return parent, tuple(range(parent.order))
         grp = FiniteGroup(
             backing="table",
             order=self.order,
@@ -333,15 +336,14 @@ def commutator(G: FiniteGroup, g: int, h: int) -> int:
 
 
 def _commutator_subgroup_of(K: Subgroup, H: Subgroup) -> Subgroup:
-    """[K, H] as a subgroup of the common parent.
+    """[K, H] as a subgroup of the common parent, for K <= H.
 
-    Uses the literal all-pairs commutator closure when small enough, and the
-    normal closure of generator commutators otherwise.
+    It is the normal closure in <K, H> of the commutators [x, y] of the
+    generators x of K and y of H (Holt, Eick & O'Brien, *Handbook of
+    Computational Group Theory*).  Every caller has K <= H, so
+    <K, H> = H and closing under conjugation by H's generators is exact.
     """
     G = K.parent
-    if len(K.members) * len(H.members) <= _BRUTE_COMMUTATOR_PAIRS:
-        comms = {commutator(G, a, b) for a in K.members for b in H.members}
-        return closure(G, sorted(comms))
     seeds = sorted(
         {commutator(G, a, b) for a in K.generators for b in H.generators}
     )

@@ -8,6 +8,7 @@ other pairs commute; it is nontrivial when c != 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Optional, Sequence, Union
 
@@ -37,6 +38,22 @@ class SymplecticSequence:
 
     def names(self) -> list[str]:
         return [self.group.name(e) for e in self.elements]
+
+    @cached_property
+    def span(self) -> tuple[FiniteGroup, "SymplecticSequence", tuple[int, ...]]:
+        """S = <sequence>, materialized once: (S, sequence over S, to_parent).
+
+        When the sequence spans its whole materialized group, S is that group
+        and the sequence over S is this one.
+        """
+        S, to_parent = sequence_subgroup(self).as_group()
+        if S is self.group:
+            return S, self, to_parent
+        back = {p: i for i, p in enumerate(to_parent)}
+        inner = check_symplectic(S, [back[e] for e in self.elements])
+        if not isinstance(inner, SymplecticSequence):
+            raise AssertionError(f"sequence failed to re-certify in its span: {inner}")
+        return S, inner, to_parent
 
 
 @dataclass(frozen=True)
@@ -234,46 +251,30 @@ class StructureReport:
 def structure_report(seq: SymplecticSequence) -> StructureReport:
     """Verify the span's commutator structure: [S,S] = <c>, centrality of c,
     and (for spans of order <= 512) full bilinearity of the commutator."""
-    G = seq.group
-    span = sequence_subgroup(seq)
-    derived = derived_subgroup(span)
-    c_span = closure(G, [seq.c])
-    c_in_center = all(
-        G.multiply(seq.c, m) == G.multiply(m, seq.c) for m in span.members
-    )
+    S, inner, _ = seq.span
+    c = inner.c
     bilinear: Optional[bool] = None
-    if span.order <= BILINEARITY_MAX_SPAN:
-        bilinear = _bilinearity_exhaustive(span)
+    if S.order <= BILINEARITY_MAX_SPAN:
+        bilinear = _bilinearity_exhaustive(S)
     return StructureReport(
-        span_order=span.order,
-        c_order=G.element_order(seq.c) if seq.c != 0 else 1,
-        derived_equals_c_span=derived.members == c_span.members,
-        c_in_center=c_in_center,
+        span_order=S.order,
+        c_order=S.element_order(c),
+        derived_equals_c_span=derived_subgroup(S).members == closure(S, [c]).members,
+        c_in_center=len(centralizer(S, c)) == S.order,
         bilinearity_ok=bilinear,
     )
 
 
-def _bilinearity_exhaustive(span: Subgroup) -> bool:
-    """[xy, z] == [x, z][y, z] for all x, y, z in the span.
-
-    The member-index table is read off the parent's Cayley table, or off the
-    span's own when the parent is lazy.
-    """
+def _bilinearity_exhaustive(G: FiniteGroup) -> bool:
+    """[xy, z] == [x, z][y, z] for all x, y, z in G, read off G's Cayley table
+    (so order <= CAYLEY_MAX_ORDER)."""
     import numpy as np
 
-    G, members = span.parent, span.members
-    if not G.cayley_columns():
-        G = span.as_group()[0]
-        members = G.elements()
-    cols = G.cayley_columns()
-    n = len(members)
-    index = np.zeros(G.order, dtype=np.int32)
-    index[list(members)] = np.arange(n)
-    # mul[i, j] = index of m_i * m_j, comm[i, j] = index of [m_i, m_j]
-    mul = index[np.array([cols[b] for b in members], dtype=np.int32)[:, members].T]
-    inv = index[[G.inverse(a) for a in members]]
+    # mul[x, y] = x * y, comm[x, y] = [x, y]
+    mul = np.array(G.cayley_columns(), dtype=np.int32).T
+    inv = np.array([G.inverse(a) for a in G.elements()], dtype=np.int32)
     comm = mul[mul, mul[np.ix_(inv, inv)]]
-    for z in range(n):
+    for z in G.elements():
         cz = comm[:, z]
         lhs = cz[mul]                    # [xy, z]
         rhs = mul[np.ix_(cz, cz)]        # [x, z][y, z]

@@ -1,6 +1,19 @@
 """Shared pytest plumbing: print one line per acceptance criterion."""
 
+import os
+from pathlib import Path
+
 import pytest
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def pytest_configure(config):
+    # the ``pythonpath`` ini setting puts src/ on this process's sys.path;
+    # the CLI subprocesses that some tests start need it too
+    paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    if _SRC not in paths:
+        os.environ["PYTHONPATH"] = os.pathsep.join([_SRC, *filter(None, paths)])
 
 _acceptance_results = {}
 

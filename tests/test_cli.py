@@ -165,6 +165,11 @@ def test_verdict_computes_d2_once_per_group(capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "d2", counted_d2)
     code, doc, _ = run_json(capsys, "verdict", "extraspecial:2:2")
     assert code == 0 and doc["d2"]["order"] == 64
+    # the sequence spans G, so S is G: one group, one D2
+    assert len(groups) == len({id(G) for G in groups}) == 1
+    groups.clear()
+    code, doc, _ = run_json(capsys, "verdict", "extraspecial:2:3")
+    assert code == 0 and doc["theorem1"]["s_order"] == 32
     # once for the span S inside theorem 1, once for the group itself
     assert len(groups) == len({id(G) for G in groups}) == 2
 

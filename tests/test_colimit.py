@@ -22,7 +22,6 @@ from nilcolim.colimit import (
     lemma_suite,
     omega_check,
     sequence_image_in_n2,
-    span_as_group,
     theorem1_verify,
 )
 from nilcolim.coset_enum import todd_coxeter, trace_word
@@ -111,6 +110,19 @@ def test_theorem1_sym16_seeded():
     assert rep.s_order == 32 and rep.n2_order == 64
 
 
+def test_theorem1_reads_the_sequence_span():
+    G, basis = extraspecial_symplectic_basis(2, 2)
+    seq = check_symplectic(G, basis)
+    rep = theorem1_verify(seq)
+    assert rep.s_group is seq.span[0] is G  # the basis spans G
+    assert rep.sequence is seq and rep.parent_d2.parent is G
+    sym16, ids = seeded_gl_sequence_in_sym(16)
+    seq = check_symplectic(sym16, ids)
+    rep = theorem1_verify(seq)
+    assert rep.s_group is seq.span[0] and rep.s_group.order == 32
+    assert rep.sequence is seq.span[1] and rep.parent_d2 is None
+
+
 def test_theorem1_rejects_trivial_or_short():
     z = build("product:(cyclic:2),(product:(cyclic:2),(cyclic:2))")
     trivial = check_symplectic(z, [1, 2, 3, 4])
@@ -174,7 +186,7 @@ def test_sequence_images_span_complement_of_k():
 
     for p in (2, 3):
         G, basis = extraspecial_symplectic_basis(p, 2)
-        S, inner, _ = span_as_group(check_symplectic(G, basis))
+        S, inner, _ = check_symplectic(G, basis).span
         t = tc(build_presentation(S, 2))
         gens = [s for e in inner.elements for s in (e, -e)]
         seen = {0}
@@ -244,7 +256,7 @@ def test_lemma_suite_trivial_sequence_k_dies():
     """In an abelian group every merge is free and k traces to the identity."""
     z = build("product:(cyclic:2),(product:(cyclic:2),(cyclic:2))")
     seq = check_symplectic(z, [1, 2, 3, 4])
-    S, inner, _ = span_as_group(seq)
+    S, inner, _ = seq.span
     t = todd_coxeter(build_presentation(S, 2))
     assert trace_word(t, k_word(S, inner)) == 0
 
@@ -266,7 +278,7 @@ def test_sequence_image_in_n2(e22_bundle):
 def test_sequence_image_trivial_case():
     z = build("product:(cyclic:2),(product:(cyclic:2),(cyclic:2))")
     seq = check_symplectic(z, [1, 2, 3, 4])
-    S, inner, _ = span_as_group(seq)
+    S, inner, _ = seq.span
     t = todd_coxeter(build_presentation(S, 2))
     rep = sequence_image_in_n2(inner, t)
     assert rep.is_symplectic and not rep.nontrivial

@@ -255,6 +255,14 @@ def test_seeded_gl_sequence_in_sym():
         seeded_gl_sequence_in_sym(8)
 
 
+def test_seeded_gl_sequence_is_the_embedded_gl_sequence():
+    sym16, ids = seeded_gl_sequence_in_sym(16)
+    emb = embed_gl_in_sym(4, 2)
+    gl, gl_ids = gl_symplectic_sequence(4, 2)
+    assert emb.target is sym16 and emb.source is gl
+    assert ids == [emb.image_of(g) for g in gl_ids]
+
+
 def test_alt_orders_and_parity():
     for n in (3, 4, 5, 6, 7, 8):
         alt = build(f"alt:{n}")

@@ -302,6 +302,15 @@ def test_subgroup_as_group_roundtrip():
             assert to_parent[grp.multiply(a, b)] == s4.multiply(to_parent[a], to_parent[b])
 
 
+def test_whole_subgroup_materializes_as_its_parent():
+    for spec in ("sym:4", "extraspecial:2:2", "quaternion"):
+        G = build(spec)
+        grp, to_parent = full_subgroup(G).as_group()
+        assert grp is G and to_parent == tuple(range(G.order))
+        grp, _ = closure(G, list(G.elements())[::-1]).as_group()
+        assert grp is G
+
+
 def test_lazy_group_refuses_enumeration():
     sym16 = build("sym:16")
     assert not sym16.materialized
@@ -479,20 +488,37 @@ def test_centralizer_is_the_commuting_set(spec):
     )
 
 
-@settings(max_examples=25, deadline=None)
-@given(_perm_specs(max_degree=6))
-def test_derived_and_center_match_sympy(spec):
+def _sympy_group(G):
     from sympy.combinatorics import Permutation, PermutationGroup
 
-    G = build(spec)
     degree = max(len(G.key_of(0)), 1)
-    oracle = PermutationGroup(
+    return PermutationGroup(
         [Permutation(list(G.key_of(g)), size=degree) for g in G.generators]
         or [Permutation(degree - 1)]
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(_perm_specs(max_degree=6))
+def test_derived_and_center_match_sympy(spec):
+    G = build(spec)
+    oracle = _sympy_group(G)
     assert G.order == oracle.order()
     assert derived_subgroup(G).order == oracle.derived_subgroup().order()
     assert center(G).order == oracle.center().order()
+
+
+@settings(max_examples=25, deadline=None)
+@given(_perm_specs(max_degree=6))
+def test_lower_central_series_matches_sympy(spec):
+    # each term after [G, G] is [K, G] with K the previous term, a proper
+    # subgroup of G unless G is perfect
+    G = build(spec)
+    oracle = _sympy_group(G)
+    assert [H.order for H in lower_central_series(G)] == [
+        H.order() for H in oracle.lower_central_series()
+    ]
+    assert (nilpotency_class(G) is not None) == oracle.is_nilpotent
 
 
 def test_derived_subgroup_is_computed_once_per_group():

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcolim.permutations import (
     StabilizerChain,
@@ -107,6 +109,24 @@ def test_extend():
 def test_stabilizer_chain_order(gens, degree, order):
     chain = StabilizerChain([parse_cycles(g, degree) for g in gens], degree)
     assert chain.order() == order
+
+
+@st.composite
+def _generating_sets(draw, max_degree=9):
+    degree = draw(st.integers(1, max_degree))
+    return degree, draw(st.lists(st.permutations(range(degree)), max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_generating_sets())
+def test_stabilizer_chain_order_matches_sympy(case):
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    degree, gens = case
+    oracle = PermutationGroup(
+        [Permutation(g, size=degree) for g in gens] or [Permutation(degree - 1)]
+    )
+    assert StabilizerChain(gens, degree).order() == oracle.order()
 
 
 def test_stabilizer_chain_membership():

@@ -53,6 +53,20 @@ def test_matches_determinantal_divisors():
         assert list(res.torsion) == [d for d in oracle if d > 1]
 
 
+def test_matches_sympy_invariant_factors():
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(47)
+    for _ in range(200):
+        nr, nc = rng.randrange(1, 7), rng.randrange(1, 7)
+        m = [[rng.randrange(-9, 10) for _ in range(nc)] for _ in range(nr)]
+        res = smith_normal_form(m)
+        oracle = [abs(int(d)) for d in invariant_factors(Matrix(m), domain=ZZ) if d != 0]
+        assert res.rank == len(oracle)
+        assert list(res.torsion) == [d for d in oracle if d > 1]
+
+
 def test_transposition_invariance():
     rng = random.Random(41)
     for _ in range(40):

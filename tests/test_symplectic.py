@@ -9,7 +9,7 @@ from nilcolim.constructions import (
     gl_symplectic_sequence,
     seeded_gl_sequence_in_sym,
 )
-from nilcolim.groups import GroupTooLargeError, full_subgroup
+from nilcolim.groups import GroupTooLargeError
 from nilcolim.permutations import parse_cycles
 from nilcolim.symplectic import (
     ExhaustedNone,
@@ -205,14 +205,14 @@ def test_structure_report_gl():
 def test_bilinearity_is_class_at_most_two(spec):
     # [xy, z] = [x, z][y, z] for all x, y, z exactly when [G, G] is central
     G = build(spec)
-    assert _bilinearity_exhaustive(full_subgroup(G)) == (nilpotency_class(G) in (1, 2))
+    assert _bilinearity_exhaustive(G) == (nilpotency_class(G) in (1, 2))
 
 
 def test_bilinearity_inside_a_lazy_parent():
     sym16, ids = seeded_gl_sequence_in_sym(16)
-    assert _bilinearity_exhaustive(closure(sym16, ids))
+    assert _bilinearity_exhaustive(closure(sym16, ids).as_group()[0])
     s3 = closure(sym16, [sym16.id_of_key(parse_cycles(c, 16)) for c in ("(1 2)", "(1 2 3)")])
-    assert s3.order == 6 and not _bilinearity_exhaustive(s3)
+    assert s3.order == 6 and not _bilinearity_exhaustive(s3.as_group()[0])
 
 
 def test_find_soundness_randomized_groups():
