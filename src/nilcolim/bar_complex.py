@@ -213,6 +213,13 @@ def abelianized_relator_matrix(P: Presentation) -> list[list[int]]:
     return rows
 
 
+def presented_h1(G: FiniteGroup, q: int = 2) -> SNFResult:
+    """H_1 read off the level-q colimit presentation: its abelianization."""
+    P = build_presentation(G, q)
+    snf = smith_normal_form(abelianized_relator_matrix(P))
+    return SNFResult(rank=P.num_generators - snf.rank, torsion=snf.torsion)
+
+
 def h1_consistency(
     G: FiniteGroup, max_simplices: int = DEFAULT_MAX_SIMPLICES, q: int = 2
 ) -> bool:
@@ -221,12 +228,7 @@ def h1_consistency(
     The fundamental group of the level-q complex is the level-q colimit, so
     its first homology is the abelianization of that presentation.
     """
-    h1 = homology(G, q, 1, max_simplices)
-    P = build_presentation(G, q)
-    rel = abelianized_relator_matrix(P)
-    snf = smith_normal_form(rel)
-    presented = SNFResult(rank=P.num_generators - snf.rank, torsion=snf.torsion)
-    return presented == h1
+    return homology(G, q, 1, max_simplices) == presented_h1(G, q)
 
 
 def matrix_dumps(mat: list[list[int]]) -> str:

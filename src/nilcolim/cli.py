@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Optional
 
-from .bar_complex import BudgetExceededError, DEFAULT_MAX_SIMPLICES, h1_consistency, hom_count, homology
+from .bar_complex import BudgetExceededError, DEFAULT_MAX_SIMPLICES, hom_count, homology, presented_h1
 from .colimit import (
     D2_MEMBERS_MAX_ORDER,
     conjecture_probe,
@@ -177,7 +177,7 @@ def cmd_homology(args) -> tuple[dict, int]:
     res = homology(G, args.q, args.dim, args.max_simplices)
     consistent = None
     if args.dim == 1 and args.q == 2 and G.order <= PRESENTATION_MAX_ORDER:
-        consistent = h1_consistency(G, args.max_simplices)
+        consistent = res == presented_h1(G)
     report = make_report(
         "homology",
         args.seed,

@@ -1,13 +1,35 @@
 """Exact Smith normal form over the integers.
 
-Plain dense elimination with partial pivoting on the smallest nonzero entry,
-over Python ints: intermediate entry growth is real even for modest inputs,
-so correctness wins over speed here.
+Every matrix goes through two phases, over Python ints.
+
+1. Sparse unit-pivot elimination (after Dumas, Saunders & Villard, "On
+   efficient sparse integer matrix Smith normal form computations", J.
+   Symbolic Comput. 32, 2001).  The rows are read once into sparse rows
+   with a column-to-rows index; zero rows and rows equal to an earlier one
+   up to sign are dropped, since the row lattice stays the same.  While
+   some row holds a +-1 entry, the shortest such row is taken, and in it
+   the unit entry whose column has the fewest entries (a Markowitz-style
+   choice that limits fill-in).  Exact integer row operations clear that
+   column from the other rows; then the pivot row and column are dropped.
+   Dropping them is exact: once the column is clear, the column operations
+   that would clear the pivot row touch that row only, so
+   SNF(M) = 1 + SNF(M') with M' the remaining rows and columns.  Each pivot
+   adds one to the rank and leaves the torsion as it is.
+2. Dense core.  The rows left hold no unit entry.  Zero columns, and the
+   zero and repeated rows that elimination made, are dropped, and dense
+   elimination over Python ints diagonalizes the small core; the divisors
+   are read off its diagonal (see ``_dense_snf``).
+
+Boundary matrices and abelianized relator matrices are sparse with mostly
+unit entries, so the core is a small fraction of the input.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import compress
+from math import gcd
 
 
 @dataclass(frozen=True)
@@ -23,13 +45,113 @@ class SNFResult:
 
 
 def smith_normal_form(rows: list[list[int]]) -> SNFResult:
+    """Rank and elementary divisors of the matrix; ``rows`` is only read."""
     if not rows or not rows[0]:
         return SNFResult(0, ())
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0])
-    if any(len(r) != nc for r in m):
+    nc = len(rows[0])
+    if any(len(r) != nc for r in rows):
         raise ValueError("ragged matrix")
-    divisors: list[int] = []
+    sparse, cols = _sparse_rows(rows, nc)
+    pivots = _eliminate_unit_pivots(sparse, cols)
+    core = _dense_snf(_residual_core(sparse, cols))
+    return SNFResult(pivots + core.rank, core.torsion)
+
+
+def _sparse_rows(rows, nc):
+    """({col: value} per distinct row, the set of rows holding each column)."""
+    cols: list[set[int]] = [set() for _ in range(nc)]
+    sparse: list[dict[int, int]] = []
+    for _, nz, vals in _distinct_rows(rows, nc):
+        for j in nz:
+            cols[j].add(len(sparse))
+        sparse.append(dict(zip(nz, vals)))
+    return sparse, cols
+
+
+def _distinct_rows(rows, nc):
+    """(row, support, values) of each nonzero row unequal to an earlier one up to sign.
+
+    The values are negated where needed so the first is positive.
+    """
+    span = range(nc)
+    seen = set()
+    for r in rows:
+        nz = tuple(compress(span, r))
+        if not nz:
+            continue
+        if r[nz[0]] > 0:
+            vals = tuple([r[j] for j in nz])
+        else:
+            vals = tuple([-r[j] for j in nz])
+        key = (nz, vals)
+        if key not in seen:
+            seen.add(key)
+            yield r, nz, vals
+
+
+def _has_unit(row: dict[int, int]) -> bool:
+    return any(v == 1 or v == -1 for v in row.values())
+
+
+def _eliminate_unit_pivots(sparse, cols) -> int:
+    """Eliminate +-1 pivots in place; dead rows become None.  Returns the count."""
+    heap = [(len(r), i) for i, r in enumerate(sparse) if _has_unit(r)]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        length, r = heapq.heappop(heap)
+        prow = sparse[r]
+        # stale entry: the row died or changed since it was pushed
+        if prow is None or len(prow) != length:
+            continue
+        units = [j for j, v in prow.items() if v == 1 or v == -1]
+        if not units:
+            continue
+        c = min(units, key=lambda j: len(cols[j]))
+        p = prow[c]
+        for j in prow:
+            cols[j].discard(r)
+        for i in list(cols[c]):
+            row = sparse[i]
+            f = row[c] * p  # p is its own inverse
+            for j, v in prow.items():
+                old = row.get(j)
+                if old is None:
+                    row[j] = -f * v
+                    cols[j].add(i)
+                elif old != f * v:
+                    row[j] = old - f * v
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if _has_unit(row):
+                heapq.heappush(heap, (len(row), i))
+        sparse[r] = None
+        pivots += 1
+    return pivots
+
+
+def _residual_core(sparse, cols) -> list[list[int]]:
+    """Dense rows of what elimination left: nonzero columns, distinct rows up to sign."""
+    live = [j for j, holders in enumerate(cols) if holders]
+    dense = ([row.get(j, 0) for j in live] for row in sparse if row)
+    return [r for r, _, _ in _distinct_rows(dense, len(live))]
+
+
+def _dense_snf(m: list[list[int]]) -> SNFResult:
+    """Diagonalize ``m`` in place, then read the divisors off the diagonal.
+
+    Each step takes the smallest nonzero entry as pivot and clears its column
+    and row.  An entry the pivot does not divide is combined with the pivot
+    line by the 2x2 unimodular step that leaves their gcd in the pivot and 0
+    in its place, so one pass clears a column.  Divisibility along the
+    diagonal is not forced during elimination, because forcing it (adding a
+    row into the pivot row and eliminating again) makes the entries grow
+    fast; diag(a, b) ~ diag(gcd(a, b), lcm(a, b)) fixes it at the end.
+    """
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    diagonal: list[int] = []
     t = 0
     while t < nr and t < nc:
         pivot = _smallest_pivot(m, t)
@@ -41,52 +163,66 @@ def smith_normal_form(rows: list[list[int]]) -> SNFResult:
         if pj != t:
             for row in m:
                 row[t], row[pj] = row[pj], row[t]
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-        while True:
-            # clear the pivot column with remainder swaps
+        column_dirty = True
+        while column_dirty:
             for i in range(t + 1, nr):
                 a = m[i][t]
                 if a:
-                    q = a // m[t][t]
-                    if q:
-                        mt = m[t]
-                        mi = m[i]
-                        for j in range(t, nc):
-                            mi[j] -= q * mt[j]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-            if any(m[i][t] for i in range(t + 1, nr)):
-                continue
-            # clear the pivot row
+                    m[t], m[i] = _gcd_step(m[t][t], a, m[t], m[i])
+            # column operations: the rows above t are zero from column t on
+            below = m[t:]
+            pt = m[t]
+            column_dirty = False
             for j in range(t + 1, nc):
-                a = m[t][j]
-                if a:
-                    q = a // m[t][t]
-                    if q:
-                        for i in range(t, nr):
-                            m[i][j] -= q * m[i][t]
-                    if m[t][j]:
-                        for i in range(t, nr):
-                            m[i][t], m[i][j] = m[i][j], m[i][t]
-            if any(m[i][t] for i in range(t + 1, nr)) or any(
-                m[t][j] for j in range(t + 1, nc)
-            ):
-                continue
-            if m[t][t] < 0:
-                m[t] = [-x for x in m[t]]
-            # pivot must divide the rest of the submatrix
-            culprit = _nondivisible_row(m, t)
-            if culprit is None:
-                break
-            mi = m[culprit]
-            mt = m[t]
-            for j in range(t, nc):
-                mt[j] += mi[j]
-        divisors.append(m[t][t])
+                a = pt[j]
+                if not a:
+                    continue
+                p = pt[t]
+                if a % p == 0:
+                    q = a // p
+                    for row in below:
+                        row[j] -= q * row[t]
+                else:
+                    g, x, y = _gcdex(p, a)
+                    pg, ag = p // g, a // g
+                    for row in below:
+                        u, v = row[t], row[j]
+                        row[t], row[j] = x * u + y * v, ag * u - pg * v
+                    column_dirty = True
+        diagonal.append(abs(m[t][t]))
         t += 1
-    rank = len(divisors)
-    return SNFResult(rank, tuple(d for d in divisors if d > 1))
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            a, b = diagonal[i], diagonal[j]
+            g = gcd(a, b)
+            diagonal[i], diagonal[j] = g, a // g * b
+    return SNFResult(len(diagonal), tuple(d for d in diagonal if d > 1))
+
+
+def _gcd_step(p, a, pivot_row, row):
+    """(new pivot row, new row): the pivot entry becomes gcd(p, a), the other 0."""
+    if a % p == 0:
+        q = a // p
+        return pivot_row, [v - q * u for u, v in zip(pivot_row, row)]
+    g, x, y = _gcdex(p, a)
+    pg, ag = p // g, a // g
+    return (
+        [x * u + y * v for u, v in zip(pivot_row, row)],
+        [ag * u - pg * v for u, v in zip(pivot_row, row)],
+    )
+
+
+def _gcdex(a, b):
+    """(g, x, y) with g = gcd(a, b) > 0 and x*a + y*b = g."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
 
 
 def _smallest_pivot(m, t):
@@ -104,15 +240,3 @@ def _smallest_pivot(m, t):
                     if a == 1:
                         return best
     return best
-
-
-def _nondivisible_row(m, t):
-    d = m[t][t]
-    if d == 1:
-        return None
-    for i in range(t + 1, len(m)):
-        row = m[i]
-        for j in range(t + 1, len(row)):
-            if row[j] % d:
-                return i
-    return None

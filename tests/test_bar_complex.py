@@ -11,9 +11,11 @@ from nilcolim.bar_complex import (
     hom_count,
     homology,
     matrix_dumps,
+    presented_h1,
     verify_complex,
 )
 from nilcolim.presentations import build_presentation
+from nilcolim.snf import SNFResult
 import oracles as O
 
 SUITE = ["cyclic:6", "sym:3", "dihedral:4", "quaternion", "extraspecial:2:2",
@@ -178,6 +180,19 @@ def test_h2_klein_is_z2():
     # H_2 of the rank-2 elementary abelian group is Z/2
     res = homology(build("product:(cyclic:2),(cyclic:2)"), 2, 2)
     assert res.rank == 0 and res.torsion == (2,)
+
+
+def test_h2_extraspecial_2_2():
+    # d_3 is 481 x 4351
+    res = homology(build("extraspecial:2:2"), 2, 2)
+    assert res == SNFResult(rank=0, torsion=(2,) * 11 + (4,) * 4)
+
+
+def test_h1_extraspecial_3_2_matches_presentation():
+    # d_2 is 242 x 19684 and the relator matrix 19684 x 242
+    G = build("extraspecial:3:2")
+    assert h1_consistency(G)
+    assert presented_h1(G) == SNFResult(rank=0, torsion=(3,) * 5)
 
 
 def test_abelian_complex_equals_bar_complex():

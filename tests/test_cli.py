@@ -203,6 +203,28 @@ def test_homology_s3(capsys):
     assert hom["h1_consistent"] is True
 
 
+def test_homology_dim_1_computes_h1_once(capsys, monkeypatch):
+    import nilcolim.bar_complex as bar_complex
+
+    calls = {"build_complex": 0, "smith_normal_form": 0}
+
+    def counted(name):
+        real = getattr(bar_complex, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bar_complex, name, wrapper)
+
+    counted("build_complex")
+    counted("smith_normal_form")
+    code, doc, _ = run_json(capsys, "homology", "extraspecial:2:2", "--dim", "1")
+    assert code == 0 and doc["homology"]["h1_consistent"] is True
+    # d_1 and d_2 of one complex, then the abelianized relator matrix
+    assert calls == {"build_complex": 1, "smith_normal_form": 3}
+
+
 def test_homology_budget_error(capsys):
     assert main(["homology", "extraspecial:2:2", "--dim", "1",
                  "--max-simplices", "10"]) == 1

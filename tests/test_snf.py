@@ -2,9 +2,19 @@
 
 import random
 
-from nilcolim.snf import smith_normal_form
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nilcolim.snf import _dense_snf, smith_normal_form
 
 import oracles as O
+
+
+def _sympy_divisors(m):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    return [abs(int(d)) for d in invariant_factors(Matrix(m), domain=ZZ) if d != 0]
 
 
 def test_known_matrices():
@@ -54,17 +64,91 @@ def test_matches_determinantal_divisors():
 
 
 def test_matches_sympy_invariant_factors():
-    from sympy import ZZ, Matrix
-    from sympy.matrices.normalforms import invariant_factors
-
     rng = random.Random(47)
     for _ in range(200):
         nr, nc = rng.randrange(1, 7), rng.randrange(1, 7)
         m = [[rng.randrange(-9, 10) for _ in range(nc)] for _ in range(nr)]
         res = smith_normal_form(m)
-        oracle = [abs(int(d)) for d in invariant_factors(Matrix(m), domain=ZZ) if d != 0]
+        oracle = _sympy_divisors(m)
         assert res.rank == len(oracle)
         assert list(res.torsion) == [d for d in oracle if d > 1]
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Mostly-zero matrices like boundary and relator matrices, with the
+    zero rows and columns and the repeated and negated rows they carry."""
+    nr, nc = draw(st.integers(1, 30)), draw(st.integers(1, 40))
+    # (2, -2): no unit entry at all, so the dense core does everything
+    values = draw(st.sampled_from([(1, -1, 2, -2), (1, -1, 1, -1, 2, -2), (2, -2)]))
+    density = draw(st.sampled_from([0.05, 0.15, 0.4]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m = [
+        [rng.choice(values) if rng.random() < density else 0 for _ in range(nc)]
+        for _ in range(nr)
+    ]
+    for j in rng.sample(range(nc), rng.randrange(nc // 4 + 1)):
+        for row in m:
+            row[j] = 0
+    for _ in range(rng.randrange(5)):
+        row = rng.choice(m)
+        m.append(list(row) if rng.random() < 0.5 else [-x for x in row])
+    m.extend([0] * nc for _ in range(rng.randrange(3)))
+    rng.shuffle(m)
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices())
+def test_sparse_matrices_match_sympy_and_the_dense_core(m):
+    before = [row[:] for row in m]
+    res = smith_normal_form(m)
+    assert m == before  # the input is read, never reduced in place
+    oracle = _sympy_divisors(m)
+    assert res.rank == len(oracle)
+    assert list(res.torsion) == [d for d in oracle if d > 1]
+    assert _dense_snf(before) == res
+
+
+def _unimodular_conjugate(rng, d):
+    """U . d . V for U, V products of random elementary operations."""
+    m = [row[:] for row in d]
+    nr, nc = len(m), len(m[0])
+    for _ in range(2 * (nr + nc)):
+        i, j = rng.randrange(nr), rng.randrange(nr)
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            c = rng.choice((1, -1, 2, -3))
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        i, j = rng.randrange(nc), rng.randrange(nc)
+        if i == j:
+            for row in m:
+                row[i] = -row[i]
+        else:
+            c = rng.choice((1, -1, 2, -3))
+            for row in m:
+                row[i] += c * row[j]
+    return m
+
+
+def test_unimodular_conjugates_keep_the_divisors():
+    rng = random.Random(53)
+    for _ in range(60):
+        nr, nc = rng.randrange(1, 16), rng.randrange(1, 21)
+        divisors = []
+        d = 1
+        for _ in range(rng.randrange(min(nr, nc) + 1)):
+            d *= rng.choice((1, 1, 1, 2, 3))
+            divisors.append(d)
+        diag = [[0] * nc for _ in range(nr)]
+        for t, dt in enumerate(divisors):
+            diag[t][t] = dt
+        m = _unimodular_conjugate(rng, diag)
+        res = smith_normal_form(m)
+        assert res.rank == len(divisors)
+        assert res.torsion == tuple(dt for dt in divisors if dt > 1)
+        assert _dense_snf(m) == res
 
 
 def test_transposition_invariance():
