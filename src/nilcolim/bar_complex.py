@@ -53,6 +53,8 @@ def hom_count(G: FiniteGroup, n: int, q: int = 2) -> int:
 
 def _span_gate(G: FiniteGroup, q: int):
     """admissible(partial, g): does partial + (g,) span a class-<q subgroup?"""
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
     if q == 2:
         cent = [centralizer(G, g) for g in G.elements()]
         return lambda partial, g: all(g in cent[h] for h in partial)
@@ -87,17 +89,18 @@ class ChainComplex:
     """Normalized chains up to a dimension cap.
 
     ``bases[n]`` lists the nondegenerate n-simplices (lexicographic order);
-    ``boundary(n)`` is the matrix of the bar differential, with rows indexed
-    by (n-1)-simplices and columns by n-simplices, over Python ints.
+    ``boundary(n)`` is the matrix of the bar differential as sparse rows:
+    one ``{column: nonzero value}`` dict per (n-1)-simplex, in basis order,
+    keyed by the indices of n-simplices in ascending order.
     """
 
     group: FiniteGroup
     q: int
     dim_cap: int
     bases: list[list[tuple[int, ...]]]
-    boundaries: list[Optional[list[list[int]]]]
+    boundaries: list[Optional[list[dict[int, int]]]]
 
-    def boundary(self, n: int) -> list[list[int]]:
+    def boundary(self, n: int) -> list[dict[int, int]]:
         if n < 1 or n > self.dim_cap:
             raise ValueError(f"no boundary matrix for dimension {n}")
         return self.boundaries[n]
@@ -114,7 +117,7 @@ def build_complex(
     bases: list[list[tuple[int, ...]]] = [[()]]
     for n in range(1, dim_cap + 1):
         bases.append(_simplices(G, q, n, max_simplices))
-    boundaries: list[Optional[list[list[int]]]] = [None]
+    boundaries: list[Optional[list[dict[int, int]]]] = [None]
     for n in range(1, dim_cap + 1):
         boundaries.append(_boundary_matrix(G, bases[n - 1], bases[n], n))
     return ChainComplex(G, q, dim_cap, bases, boundaries)
@@ -143,9 +146,10 @@ def _simplices(G: FiniteGroup, q: int, n: int, cap: int) -> list[tuple[int, ...]
     return out
 
 
-def _boundary_matrix(G, rows_basis, cols_basis, n) -> list[list[int]]:
+def _boundary_matrix(G, rows_basis, cols_basis, n) -> list[dict[int, int]]:
+    """Sparse rows of d_n; visiting columns in order keeps each row's keys ascending."""
     index = {t: i for i, t in enumerate(rows_basis)}
-    mat = [[0] * len(cols_basis) for _ in rows_basis]
+    rows: list[dict[int, int]] = [{} for _ in rows_basis]
     for cj, t in enumerate(cols_basis):
         for i in range(n + 1):
             if i == 0:
@@ -160,8 +164,17 @@ def _boundary_matrix(G, rows_basis, cols_basis, n) -> list[list[int]]:
             ri = index.get(face)
             if ri is None:
                 raise AssertionError(f"face {face} missing from basis")
-            mat[ri][cj] += 1 if i % 2 == 0 else -1
-    return mat
+            _add_entry(rows[ri], cj, 1 if i % 2 == 0 else -1)
+    return rows
+
+
+def _add_entry(row: dict[int, int], j: int, v: int) -> None:
+    """row[j] += v in a sparse row, which holds no zero value."""
+    v += row.get(j, 0)
+    if v:
+        row[j] = v
+    else:
+        del row[j]
 
 
 def homology(
@@ -187,29 +200,30 @@ def homology(
 def verify_complex(cx: ChainComplex) -> bool:
     """d_n . d_{n+1} = 0 for every consecutive pair of built matrices."""
     for n in range(1, cx.dim_cap):
-        a = cx.boundary(n)
-        b = cx.boundary(n + 1)
-        if not a or not b:
-            continue
-        for j in range(len(b[0])):
-            col = [b[i][j] for i in range(len(b))]
-            for i in range(len(a)):
-                if sum(a[i][t] * col[t] for t in range(len(col))):
-                    return False
+        upper = cx.boundary(n + 1)
+        for row in cx.boundary(n):
+            product: dict[int, int] = {}
+            for t, v in row.items():
+                for j, w in upper[t].items():
+                    _add_entry(product, j, v * w)
+            if product:
+                return False
     return True
 
 
 # -- consistency with the colimit presentation --------------------------------
 
-def abelianized_relator_matrix(P: Presentation) -> list[list[int]]:
-    """Exponent-sum vectors of the relators over the presentation generators."""
-    k = P.num_generators
+def abelianized_relator_matrix(P: Presentation) -> list[dict[int, int]]:
+    """Exponent sums of the relators as sparse rows over the generator indices.
+
+    Letters are visited by generator, so each row's columns ascend.
+    """
     rows = []
     for w in P.relators:
-        vec = [0] * k
-        for signed in w:
-            vec[abs(signed) - 1] += 1 if signed > 0 else -1
-        rows.append(vec)
+        row: dict[int, int] = {}
+        for signed in sorted(w, key=abs):
+            _add_entry(row, abs(signed) - 1, 1 if signed > 0 else -1)
+        rows.append(row)
     return rows
 
 
@@ -229,13 +243,3 @@ def h1_consistency(
     its first homology is the abelianization of that presentation.
     """
     return homology(G, q, 1, max_simplices) == presented_h1(G, q)
-
-
-def matrix_dumps(mat: list[list[int]]) -> str:
-    """Dump format: header ``rows cols``, then row-major entries, one row per line."""
-    nr = len(mat)
-    nc = len(mat[0]) if mat else 0
-    lines = [f"{nr} {nc}"]
-    for row in mat:
-        lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"

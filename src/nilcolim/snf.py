@@ -1,23 +1,24 @@
 """Exact Smith normal form over the integers.
 
-Every matrix goes through two phases, over Python ints.
+A matrix arrives as a list of sparse rows, one ``{column: nonzero value}``
+dict per row, and goes through two phases, over Python ints.
 
 1. Sparse unit-pivot elimination (after Dumas, Saunders & Villard, "On
    efficient sparse integer matrix Smith normal form computations", J.
-   Symbolic Comput. 32, 2001).  The rows are read once into sparse rows
-   with a column-to-rows index; zero rows and rows equal to an earlier one
-   up to sign are dropped, since the row lattice stays the same.  While
-   some row holds a +-1 entry, the shortest such row is taken, and in it
-   the unit entry whose column has the fewest entries (a Markowitz-style
-   choice that limits fill-in).  Exact integer row operations clear that
-   column from the other rows; then the pivot row and column are dropped.
-   Dropping them is exact: once the column is clear, the column operations
-   that would clear the pivot row touch that row only, so
+   Symbolic Comput. 32, 2001).  The rows are copied once, with a
+   column-to-rows index; empty rows and rows equal to an earlier one up to
+   sign are dropped, since the row lattice stays the same.  While some row
+   holds a +-1 entry, the shortest such row is taken, and in it the unit
+   entry whose column has the fewest entries (a Markowitz-style choice that
+   limits fill-in).  Exact integer row operations clear that column from
+   the other rows; then the pivot row and column are dropped.  Dropping
+   them is exact: once the column is clear, the column operations that
+   would clear the pivot row touch that row only, so
    SNF(M) = 1 + SNF(M') with M' the remaining rows and columns.  Each pivot
    adds one to the rank and leaves the torsion as it is.
-2. Dense core.  The rows left hold no unit entry.  Zero columns, and the
-   zero and repeated rows that elimination made, are dropped, and dense
-   elimination over Python ints diagonalizes the small core; the divisors
+2. Dense core.  The rows left hold no unit entry.  They are made dense on
+   their nonzero columns only, again distinct up to sign, and dense
+   elimination over Python ints diagonalizes that small core; the divisors
    are read off its diagonal (see ``_dense_snf``).
 
 Boundary matrices and abelianized relator matrices are sparse with mostly
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import compress
 from math import gcd
 
 
@@ -44,49 +44,41 @@ class SNFResult:
         return " + ".join(parts) if parts else "0"
 
 
-def smith_normal_form(rows: list[list[int]]) -> SNFResult:
-    """Rank and elementary divisors of the matrix; ``rows`` is only read."""
-    if not rows or not rows[0]:
-        return SNFResult(0, ())
-    nc = len(rows[0])
-    if any(len(r) != nc for r in rows):
-        raise ValueError("ragged matrix")
-    sparse, cols = _sparse_rows(rows, nc)
+def smith_normal_form(rows: list[dict[int, int]]) -> SNFResult:
+    """Rank and elementary divisors of the matrix whose rows are ``rows``.
+
+    Each row maps a column index to a nonzero value; the columns are the
+    ones the rows use.  ``rows`` is only read.  Repeated rows are dropped
+    when they list their columns in the same order, as the ascending rows of
+    the boundary and relator matrices do.
+    """
+    sparse = [dict(items) for items in _distinct_rows(row.items() for row in rows)]
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(sparse):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
     pivots = _eliminate_unit_pivots(sparse, cols)
     core = _dense_snf(_residual_core(sparse, cols))
     return SNFResult(pivots + core.rank, core.torsion)
 
 
-def _sparse_rows(rows, nc):
-    """({col: value} per distinct row, the set of rows holding each column)."""
-    cols: list[set[int]] = [set() for _ in range(nc)]
-    sparse: list[dict[int, int]] = []
-    for _, nz, vals in _distinct_rows(rows, nc):
-        for j in nz:
-            cols[j].add(len(sparse))
-        sparse.append(dict(zip(nz, vals)))
-    return sparse, cols
+def _distinct_rows(rows):
+    """Each nonempty row unequal to an earlier one up to sign, as an item tuple.
 
-
-def _distinct_rows(rows, nc):
-    """(row, support, values) of each nonzero row unequal to an earlier one up to sign.
-
-    The values are negated where needed so the first is positive.
+    Rows are given as (column, value) sequences and compared as such, so
+    two rows count as equal only when they list their columns in the same
+    order.  Values are negated where needed so the first is positive.
     """
-    span = range(nc)
     seen = set()
     for r in rows:
-        nz = tuple(compress(span, r))
-        if not nz:
+        items = tuple(r)
+        if not items:
             continue
-        if r[nz[0]] > 0:
-            vals = tuple([r[j] for j in nz])
-        else:
-            vals = tuple([-r[j] for j in nz])
-        key = (nz, vals)
-        if key not in seen:
-            seen.add(key)
-            yield r, nz, vals
+        if items[0][1] < 0:
+            items = tuple([(j, -v) for j, v in items])
+        if items not in seen:
+            seen.add(items)
+            yield items
 
 
 def _has_unit(row: dict[int, int]) -> bool:
@@ -133,9 +125,9 @@ def _eliminate_unit_pivots(sparse, cols) -> int:
 
 def _residual_core(sparse, cols) -> list[list[int]]:
     """Dense rows of what elimination left: nonzero columns, distinct rows up to sign."""
-    live = [j for j, holders in enumerate(cols) if holders]
-    dense = ([row.get(j, 0) for j in live] for row in sparse if row)
-    return [r for r, _, _ in _distinct_rows(dense, len(live))]
+    live = sorted(j for j, holders in cols.items() if holders)
+    distinct = _distinct_rows(sorted(row.items()) for row in sparse if row)
+    return [[row.get(j, 0) for j in live] for row in map(dict, distinct)]
 
 
 def _dense_snf(m: list[list[int]]) -> SNFResult:

@@ -323,6 +323,11 @@ def determinantal_divisors(rows):
     return out
 
 
+def sparse_rows(rows):
+    """The dense matrix ``rows`` as ``{column: nonzero value}`` dicts, one per row."""
+    return [{j: v for j, v in enumerate(r) if v} for r in rows]
+
+
 def naive_rank_over_q(rows):
     """Rank by exact Gaussian elimination over the rationals."""
     m = [[Fraction(x) for x in r] for r in rows]

@@ -1,5 +1,7 @@
 """Commuting-tuple skeleton: counts, boundary matrices, homology."""
 
+from collections import Counter
+
 import pytest
 
 from nilcolim import build, conjugacy_classes
@@ -10,7 +12,6 @@ from nilcolim.bar_complex import (
     h1_consistency,
     hom_count,
     homology,
-    matrix_dumps,
     presented_h1,
     verify_complex,
 )
@@ -93,6 +94,34 @@ def test_boundary_squares_to_zero(spec):
     assert verify_complex(cx)
 
 
+@pytest.mark.parametrize("spec", SUITE)
+def test_boundaries_are_sparse_rows(spec):
+    G = build(spec)
+    cx = build_complex(G, 2, 3 if G.order <= 12 else 2)
+    for n in range(1, cx.dim_cap + 1):
+        d = cx.boundary(n)
+        assert len(d) == len(cx.bases[n - 1])
+        per_column = Counter()
+        for row in d:
+            assert 0 not in row.values()
+            assert list(row) == sorted(row)
+            per_column.update(row.keys())
+        assert set(per_column) <= set(range(len(cx.bases[n])))
+        # an n-simplex has n + 1 faces
+        assert max(per_column.values(), default=0) <= n + 1
+
+
+def test_verify_complex_detects_a_wrong_entry():
+    cx = build_complex(build("sym:3"), 2, 3)
+    d2, d3 = cx.boundary(2), cx.boundary(3)
+    t = next(t for t, row in enumerate(d3) if row)
+    i = next(i for i, row in enumerate(d2) if t in row)
+    assert verify_complex(cx)
+    # row i of d_2 . d_3 moves by -2 d_2[i][t] times row t of d_3, which is nonzero
+    d2[i][t] = -d2[i][t]
+    assert not verify_complex(cx)
+
+
 def test_s3_simplex_counts():
     G = build("sym:3")
     cx = build_complex(G, 2, 2)
@@ -150,8 +179,14 @@ def test_h1_frozen_values_match_amalgam_oracle():
     for spec, expected in [("sym:3", (2, 2, 6)), ("quaternion", (2, 2, 4))]:
         G = build(spec)
         P = build_presentation(G, 2)
+        dense = [[0] * P.num_generators for _ in P.relators]
+        for vec, w in zip(dense, P.relators):
+            for signed in w:
+                vec[abs(signed) - 1] += 1 if signed > 0 else -1
         rows = abelianized_relator_matrix(P)
-        rank, torsion = O.abelian_invariants(P.num_generators, rows)
+        assert rows == O.sparse_rows(dense)
+        assert all(list(row) == sorted(row) for row in rows)
+        rank, torsion = O.abelian_invariants(P.num_generators, dense)
         assert rank == 0 and tuple(torsion) == expected
 
 
@@ -200,11 +235,6 @@ def test_abelian_complex_equals_bar_complex():
     G = build("cyclic:4")
     cx = build_complex(G, 2, 2)
     assert len(cx.bases[1]) == 3 and len(cx.bases[2]) == 9
-
-
-def test_matrix_dumps_format():
-    text = matrix_dumps([[1, -2], [0, 3]])
-    assert text == "2 2\n1 -2\n0 3\n"
 
 
 def test_homology_rejects_bad_k():

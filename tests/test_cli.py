@@ -230,6 +230,17 @@ def test_homology_budget_error(capsys):
                  "--max-simplices", "10"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["homology", "sym:3", "--q", "1", "--dim", "1"],
+    ["hom-count", "cyclic:3", "--q", "1"],
+])
+def test_q_below_two_is_input_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: q must be >= 2, got 1" in captured.err
+
+
 def test_hom_count(capsys):
     code, doc, _ = run_json(capsys, "hom-count", "sym:3", "--n", "2")
     assert code == 0
