@@ -31,6 +31,8 @@ def hom_count(G: FiniteGroup, n: int, q: int = 2) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
     if n == 0:
         return 1
     order = G.order

@@ -1,9 +1,12 @@
 """Felsch-style coset enumeration over the trivial subgroup.
 
-The strategy is deduction-stack driven: every table definition is scanned
-against all relator rotations through that generator, with coincidences
-resolved through a union-find merge queue (Holt's presentation of the
-algorithm).  Definitions fill the first empty slot of a coset, trying the
+The strategy is deduction-stack driven, with coincidences resolved through a
+union-find merge queue (Holt's presentation of the algorithm).  Each
+deduction alpha.s = beta is scanned once, from alpha, against every relator
+rotation that starts with column s.  The rotations of every relator and of
+its inverse are all present, so a rotation starting with s^-1 at beta walks
+a cycle already walked from alpha, and a second scan from beta finds
+nothing new.  Definitions fill the first empty slot of a coset, trying the
 signed generators in the order +1, -1, +2, -2, ..., so runs are
 deterministic given the presentation and limit.
 
@@ -247,10 +250,14 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
                 coincidence(f, mate)
 
     def scan_edge(alpha: int, s: int, beta: int):
-        """Check every rotation starting with column s against alpha.s = beta.
+        """Scan the deduction alpha.s = beta against every form starting with s.
 
-        Bails out as soon as alpha dies or the edge moves (a coincidence was
-        processed); re-homed edges are re-pushed by the merge queue.
+        One scan per deduction is enough: the forms are closed under rotation
+        and inversion, so a form starting with IC[s] at beta walks the same
+        cycle, in reverse, as a form starting with s at alpha.  Only a
+        coincidence can kill alpha or move the edge (a definition fills -1
+        slots only), so the scan bails out after one when either happened;
+        re-homed edges are re-pushed by the merge queue.
         """
         abase = alpha * W
         bbase = beta * W
@@ -263,26 +270,29 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
             if z != -1:
                 zslot = z * W + v
                 w0 = tab[zslot]
-                if w0 == -1:
-                    m = tab[abase + IC[v]]
-                    if m == -1:
-                        tab[zslot] = alpha
-                        tab[abase + IC[v]] = z
-                        ded.append(z * W + v)
-                    elif m != z:
-                        coincidence(z, m)
-                elif w0 != alpha:
+                if w0 == alpha:
+                    continue
+                if w0 != -1:
                     coincidence(w0, alpha)
+                elif (m := tab[abase + IC[v]]) != -1:
+                    coincidence(z, m)  # m != z: paired slots are written together
+                else:
+                    tab[zslot] = alpha
+                    tab[abase + IC[v]] = z
+                    ded.append(zslot)
+                    continue
             else:
                 t0 = tab[abase + IC[v]]
-                if t0 != -1:
-                    m = tab[t0 * W + IC[u]]
-                    if m == -1:
-                        tab[bbase + u] = t0
-                        tab[t0 * W + IC[u]] = beta
-                        ded.append(beta * W + u)
-                    elif m != beta:
-                        coincidence(beta, m)
+                if t0 == -1:
+                    continue
+                m = tab[t0 * W + IC[u]]
+                if m != -1:
+                    coincidence(beta, m)  # m != beta, likewise
+                else:
+                    tab[bbase + u] = t0
+                    tab[t0 * W + IC[u]] = beta
+                    ded.append(bbase + u)
+                    continue
             if parent[alpha] != alpha or tab[edge_slot] != beta:
                 return
         for w in rot_other[s]:
@@ -294,16 +304,9 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
         while ded:
             slot = ded.pop()
             alpha, s = divmod(slot, W)
-            if parent[alpha] != alpha:
-                continue
             beta = tab[slot]
-            if beta == -1:
-                continue
-            scan_edge(alpha, s, beta)
-            if parent[beta] == beta:
-                a2 = tab[beta * W + IC[s]]
-                if a2 != -1:
-                    scan_edge(beta, IC[s], a2)
+            if beta != -1 and parent[alpha] == alpha:
+                scan_edge(alpha, s, beta)
 
     new_coset()
     exceeded = False
@@ -336,17 +339,10 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
             break
         # coincidences can transiently erase slots in rows already passed;
         # rescan until a full pass finds every live row complete
-        gap = next(
-            (
-                x
-                for x in range(len(parent))
-                if parent[x] == x and -1 in tab[x * W : (x + 1) * W]
-            ),
-            None,
-        )
-        if gap is None:
+        restart = next((x for x in range(len(parent)) if parent[x] == x
+                        and -1 in tab[x * W : (x + 1) * W]), None)
+        if restart is None:
             break
-        restart = gap
 
     # compress live rows in place, keeping their relative order (0 stays 0)
     high_water = len(parent)

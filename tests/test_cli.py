@@ -233,12 +233,20 @@ def test_homology_budget_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["homology", "sym:3", "--q", "1", "--dim", "1"],
     ["hom-count", "cyclic:3", "--q", "1"],
+    ["hom-count", "cyclic:3", "--q", "1", "--n", "0"],
 ])
 def test_q_below_two_is_input_error(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: q must be >= 2, got 1" in captured.err
+
+
+def test_hom_count_of_zero_tuples_stays_lazy(capsys):
+    """|Hom(Z^0, G)| = 1 without materializing G, even for sym:16."""
+    code, doc, _ = run_json(capsys, "hom-count", "sym:16", "--n", "0")
+    assert code == 0
+    assert doc["hom_count"]["count"] == 1
 
 
 def test_hom_count(capsys):

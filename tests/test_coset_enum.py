@@ -1,5 +1,7 @@
 """The Felsch enumerator on colimit presentations and on classic ones."""
 
+import functools
+import hashlib
 import math
 
 import pytest
@@ -53,10 +55,32 @@ def test_trivial_group_with_collapse():
     assert t.high_water > 1  # cosets were defined and then merged away
 
 
+def _fibonacci(n):
+    """Relators x_i x_{i+1} x_{i+2}^-1 (indices mod n) of F(2, n)."""
+    return [(i, i % n + 1, -((i + 1) % n + 1)) for i in range(1, n + 1)]
+
+
 def test_fibonacci_f25_is_z11():
-    t = _manual(5, [(1, 2, -3), (2, 3, -4), (3, 4, -5), (4, 5, -1), (5, 1, -2)])
+    t = _manual(5, _fibonacci(5))
     assert t.closed and t.coset_count == 11
     assert t.high_water > 11
+
+
+F27_RELATORS = _fibonacci(7)
+
+
+@functools.cache
+def _f27():
+    """F(2,7) = <x1..x7 | x_i x_{i+1} = x_{i+2}>, cyclic of order 29; the
+    enumeration defines 33,239 cosets before the coincidences close it."""
+    return _manual(7, F27_RELATORS)
+
+
+def test_fibonacci_f27_is_z29():
+    t = _f27()
+    assert t.closed and t.coset_count == 29
+    assert t.high_water == 33239
+    _assert_closed_action(t, F27_RELATORS)
 
 
 def test_quaternion_presentation():
@@ -82,6 +106,38 @@ def test_limit_behavior():
 def test_free_group_hits_limit():
     t = _manual(2, [], limit=50)
     assert t.state == LIMIT_EXCEEDED
+
+
+# -- frozen tables: the enumeration is pinned cell for cell --------------------
+
+FROZEN = {
+    "F(2,5)": (lambda: _manual(5, _fibonacci(5)),
+               "c265615304546f4014eb941ae045711780506ea227d4cf3f02ccce481be7d0cf"),
+    "F(2,7)": (_f27,
+               "a104648c668ec8f519b14b03f4cc1af7a5d759f5420a8af122b543bb15088298"),
+    "collapse": (lambda: _manual(2, [(1, 2, -1, -2, -2), (2, 1, -2, -1, -1)]),
+                 "48cf3210499d1ecb9e167ba5334b11291ca4f9a4b33b9d8d50e73b39cf5479f5"),
+    "extraspecial:2:2 q=2": (
+        lambda: todd_coxeter(build_presentation(build("extraspecial:2:2"), 2)),
+        "d09ff832d186fbf2da292916b4ec341391a9b5c75c75015910d3f34c14a75a2c"),
+    "quaternion q=3": (
+        lambda: todd_coxeter(build_presentation(build("quaternion"), 3)),
+        "5eb81a823ec1488e020612b4e9c8131f67266be77540a703de5a5d3aa4ff71e9"),
+    # limit-exceeded: 52,884 cells are still -1
+    "sym:3 q=2 limit 20000": (
+        lambda: todd_coxeter(build_presentation(build("sym:3"), 2), limit=20000),
+        "37c7b00110796f33cbb3fa0374b3148080d4bd3ca82d0c2a534cdbd9c7b5712f"),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN))
+def test_frozen_table(name):
+    """Definition order, deduction order and coincidence handling all show in
+    the final table; any change to them moves one of these digests."""
+    run, digest = FROZEN[name]
+    t = run()
+    frozen = repr((t.state, t.coset_count, t.high_water, t.inverse_column, t.table))
+    assert hashlib.sha256(frozen.encode()).hexdigest() == digest
 
 
 # -- how the inverse columns are derived ------------------------------------------
@@ -263,3 +319,26 @@ def test_abelian_colimit_is_the_group(orders):
     t = todd_coxeter(P)
     assert t.closed and t.coset_count == G.order
     _assert_closed_action(t, P.relators)
+
+
+@st.composite
+def _presentations(draw):
+    k = draw(st.integers(2, 3))
+    letter = st.integers(-k, k).filter(bool)
+    relators = draw(st.lists(st.lists(letter, min_size=1, max_size=6).map(tuple),
+                             min_size=1, max_size=4))
+    return k, relators
+
+
+@settings(max_examples=60, deadline=None)
+@given(_presentations())
+def test_random_presentations_close_to_an_action(presentation):
+    """Small random presentations are coincidence-heavy: whenever one closes
+    within the limit, the table is a consistent permutation action, and a
+    second run reproduces it cell for cell."""
+    k, relators = presentation
+    t = _manual(k, relators, limit=2000)
+    if t.closed:
+        _assert_closed_action(t, relators)
+        again = _manual(k, relators, limit=2000)
+        assert (again.high_water, again.table) == (t.high_water, t.table)
