@@ -10,9 +10,9 @@ produces one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
-from .groups import FiniteGroup, centralizer, closure, nilpotency_class
+from .groups import FiniteGroup, centralizer, span_nilpotency_class
 from .presentations import Presentation, build_presentation
 from .snf import SNFResult, smith_normal_form
 
@@ -26,8 +26,11 @@ class BudgetExceededError(RuntimeError):
 def hom_count(G: FiniteGroup, n: int, q: int = 2) -> int:
     """Number of n-tuples spanning a class-<q subgroup (identity allowed).
 
-    For q = 2 this is the commuting-tuple count |Hom(Z^n, G)|, computed by
-    backtracking over centralizer lists rather than scanning G^n.
+    For q = 2 this is the commuting-tuple count |Hom(Z^n, G)|.  Counts and
+    simplices come from one lexicographic walk (``_tuples``) rather than a
+    scan of G^n: for q = 2 each slot ranges over the common centralizer of
+    the slots before it; for q > 2 the walk reads the group's one class
+    cache.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -35,55 +38,36 @@ def hom_count(G: FiniteGroup, n: int, q: int = 2) -> int:
         raise ValueError(f"q must be >= 2, got {q}")
     if n == 0:
         return 1
-    order = G.order
-    G.elements()  # enforce the materialization ceiling
-    if q == 2:
-        cent = [centralizer(G, g) for g in range(order)]
-        total = 0
-        for g in range(order):  # the first coordinate is unconstrained
-            total += _count_commuting_extensions(G, cent, [g], n - 1)
-        return total
-    admissible = _span_gate(G, q)
-
-    def count(tup: tuple[int, ...]) -> int:
-        if len(tup) == n:
-            return 1
-        return sum(count(tup + (g,)) for g in range(order) if admissible(tup, g))
-
-    return count(())
+    return sum(1 for _ in _tuples(G, q, n, 0))
 
 
-def _span_gate(G: FiniteGroup, q: int):
-    """admissible(partial, g): does partial + (g,) span a class-<q subgroup?"""
+def _tuples(G: FiniteGroup, q: int, n: int, first: int) -> Iterator[tuple[int, ...]]:
+    """The n-tuples over ids >= first that span a class-<q subgroup, in
+    lexicographic order."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    if q == 2:
-        cent = [centralizer(G, g) for g in G.elements()]
-        return lambda partial, g: all(g in cent[h] for h in partial)
-    memo: dict[tuple[int, ...], Optional[int]] = {}  # span members -> class
+    G.elements()  # enforce the materialization ceiling
+    ids = range(first, G.order)
 
-    def admissible(partial: tuple[int, ...], g: int) -> bool:
-        span = closure(G, partial + (g,))
-        if span.members not in memo:
-            memo[span.members] = nilpotency_class(span)
-        cls = memo[span.members]
-        return cls is not None and cls < q
+    def slot(prefix: tuple[int, ...]) -> Iterable[int]:
+        """The ids that extend prefix, ascending."""
+        if q > 2:
+            classes = {g: span_nilpotency_class(G, prefix + (g,)) for g in ids}
+            return [g for g, c in classes.items() if c is not None and c < q]
+        if not prefix:
+            return ids
+        common = frozenset.intersection(*(centralizer(G, h) for h in prefix))
+        return sorted(g for g in common if g >= first)
 
-    return admissible
+    def walk(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        for g in slot(prefix):
+            t = prefix + (g,)
+            if len(t) == n:
+                yield t
+            else:
+                yield from walk(t)
 
-
-def _count_commuting_extensions(G, cent, partial, remaining) -> int:
-    if remaining == 0:
-        return 1
-    out = 0
-    sets = [cent[h] for h in partial]
-    smallest = min(sets, key=len)
-    for g in smallest:
-        if all(g in s for s in sets if s is not smallest):
-            partial.append(g)
-            out += _count_commuting_extensions(G, cent, partial, remaining - 1)
-            partial.pop()
-    return out
+    return walk(())
 
 
 @dataclass
@@ -127,24 +111,13 @@ def build_complex(
 
 def _simplices(G: FiniteGroup, q: int, n: int, cap: int) -> list[tuple[int, ...]]:
     """Nondegenerate n-simplices in lexicographic order."""
-    order = G.order
-    G.elements()
     out: list[tuple[int, ...]] = []
-    admissible = _span_gate(G, q)
-
-    def extend(partial: tuple[int, ...]):
-        if len(partial) == n:
-            out.append(partial)
-            if len(out) > cap:
-                raise BudgetExceededError(
-                    f"{G.label}: more than {cap} simplices in dimension {n}"
-                )
-            return
-        for g in range(1, order):
-            if admissible(partial, g):
-                extend(partial + (g,))
-
-    extend(())
+    for t in _tuples(G, q, n, 1):
+        out.append(t)
+        if len(out) > cap:
+            raise BudgetExceededError(
+                f"{G.label}: more than {cap} simplices in dimension {n}"
+            )
     return out
 
 

@@ -105,11 +105,6 @@ def cmd_symplectic(args) -> tuple[dict, int]:
 
 def cmd_n2(args) -> tuple[dict, int]:
     G, gsec = _group_info(args.spec)
-    if not G.materialized or G.order > PRESENTATION_MAX_ORDER:
-        raise GroupTooLargeError(
-            f"{G.label}: order {G.order} is past the presentation ceiling "
-            f"{PRESENTATION_MAX_ORDER}"
-        )
     t = todd_coxeter(build_presentation(G, args.q), args.limit)
     kern = epsilon_kernel(G, t) if t.closed else None
     report = make_report(

@@ -132,6 +132,10 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
     if limit < 1:
         raise ValueError(f"coset limit must be >= 1, got {limit}")
     k = P.num_generators
+    letters = set(range(-k, k + 1)) - {0}
+    for w in P.relators:
+        if not letters.issuperset(w):
+            raise ValueError(f"relator {w} has a letter outside +-1..{k}")
     IC = _inverse_columns(P)
     W = len(IC)
     # columns in definition order: those of +1, -1, +2, -2, ...

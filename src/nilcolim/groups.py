@@ -72,7 +72,7 @@ class FiniteGroup:
         self._key_name = key_name or (lambda k: str(k))
         self._key_of: list = []
         self._id_of: dict = {}
-        self._pair_class_cache: dict[tuple[int, int], Optional[int]] = {}
+        self._span_class: dict[tuple[int, ...], Optional[int]] = {}
         self._centralizers: dict[int, frozenset[int]] = {}
         self._derived: Optional[Subgroup] = None
         self._is_abelian: Optional[bool] = None
@@ -419,21 +419,20 @@ def nilpotency_class(H) -> Optional[int]:
     return len(series) - 1
 
 
-def pair_nilpotency_class(G: FiniteGroup, g: int, h: int) -> Optional[int]:
-    """nilpotency_class(<g, h>), cached on the unordered pair."""
-    key = (g, h) if g <= h else (h, g)
-    cached = G._pair_class_cache.get(key)
-    if cached is None and key not in G._pair_class_cache:
-        cached = nilpotency_class(closure(G, [g, h]))
-        G._pair_class_cache[key] = cached
-    return G._pair_class_cache[key]
+def span_nilpotency_class(G: FiniteGroup, elements: Iterable[int]) -> Optional[int]:
+    """nilpotency_class(<elements>), cached per group on the element set
+    (as a sorted tuple: a third of a frozenset's size)."""
+    key = tuple(sorted(set(elements)))
+    if key not in G._span_class:
+        G._span_class[key] = nilpotency_class(closure(G, key))
+    return G._span_class[key]
 
 
 def pair_generates_class_below(G: FiniteGroup, g: int, h: int, q: int) -> bool:
     """Whether <g, h> has nilpotency class < q (the relation gate)."""
     if q == 2:
         return G.multiply(g, h) == G.multiply(h, g)
-    c = pair_nilpotency_class(G, g, h)
+    c = span_nilpotency_class(G, (g, h))
     return c is not None and c < q
 
 

@@ -1,5 +1,6 @@
 """Commuting-tuple skeleton: counts, boundary matrices, homology."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -69,6 +70,8 @@ def test_hom_count_higher_q():
     s3 = build("sym:3")
     # S3 itself is not nilpotent, so q=3 adds nothing over q=2 here
     assert hom_count(s3, 2, q=3) == hom_count(s3, 2, q=2)
+    d8 = build("dihedral:8")  # order 16 and class 3: q = 2, 3, 4 all differ
+    assert [hom_count(d8, 2, q) for q in (2, 3, 4)] == [112, 160, 256]
 
 
 def test_hom_count_edge_cases():
@@ -76,6 +79,30 @@ def test_hom_count_edge_cases():
     assert hom_count(G, 0) == 1
     with pytest.raises(ValueError):
         hom_count(G, -1)
+
+
+# -- one walk for counts and simplices ---------------------------------------------
+
+@pytest.mark.parametrize("spec", ["dihedral:8", "sym:3", "quaternion",
+                                  "product:(dihedral:4),(cyclic:2)"])
+def test_walk_matches_scan_of_all_tuples(spec):
+    """hom_count and the simplex bases agree with a scan of G^n, order included."""
+    G = build(spec)
+    classes = {}  # element set -> nilpotency class of its span, by the oracles
+
+    def admissible(t, q):
+        key = frozenset(t)
+        if key not in classes:
+            span = O.fixpoint_closure(G.multiply, 0, key)
+            classes[key] = O.nilpotency_class_of(G.multiply, 0, span)
+        return classes[key] is not None and classes[key] < q
+
+    for q in (2, 3, 4):
+        for n in (1, 2, 3):
+            scan = [t for t in itertools.product(range(G.order), repeat=n)
+                    if admissible(t, q)]
+            assert hom_count(G, n, q) == len(scan)
+            assert build_complex(G, q, n).bases[n] == [t for t in scan if 0 not in t]
 
 
 # -- the chain complex -----------------------------------------------------------

@@ -167,6 +167,15 @@ def test_bad_limit():
         _manual(1, [(1, 1)], limit=0)
 
 
+@pytest.mark.parametrize("relator", [(0, 1, 1), (1, 0), (1, 1, 3), (1, -3)])
+def test_letters_outside_the_generators_are_rejected(relator):
+    # letter 0 would read the last inverse column, letters past k index past it
+    P = Presentation(build("cyclic:1"), 2, (1,), [relator])
+    with pytest.raises(ValueError) as exc:
+        todd_coxeter(P)
+    assert str(relator) in str(exc.value)
+
+
 # -- colimit presentations -------------------------------------------------------
 
 @pytest.mark.parametrize("spec,expected", [
