@@ -12,16 +12,21 @@ deterministic given the presentation and limit.
 
 As ACE does for involutions, generators a, b > 0 that are each other's only
 partner in a relator (a)(b) or (b)(a) share a column pair: a^-1 is traced in
-b's column (a's own for (a)(a)) and those relators are dropped.  That pairs every generator of
-a colimit presentation; any other generator keeps a formal inverse column.
-What is left is overwhelmingly pair relators of length 3, which get a
-specialized scan; other lengths use a generic two-ended scan.
+b's column (a's own for (a)(a)) and those relators are dropped.  That pairs
+every generator of a colimit presentation; any other generator keeps a formal
+inverse column.  What is left is overwhelmingly pair relators of length 3,
+whose cells are gathered per column with ``itemgetter`` from the table's
+``array('i')`` rows (see ``scan_edge``); other lengths use a generic
+two-ended scan.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter, ne
 from typing import Optional
 
 from .presentations import Presentation, Word
@@ -40,10 +45,12 @@ class TableNotClosedError(RuntimeError):
 class CosetTable:
     """Result of an enumeration: live rows renumbered 0..coset_count-1.
 
-    ``table[x * width + c]`` is the target coset of x along column c (or -1
-    while partial).  Column j-1 carries generator j; ``inverse_column[c]`` is
-    the column that undoes column c: the paired generator's column, c itself
-    for an involution, or a formal inverse column at index >= k.
+    ``rows[x][c]`` is the target coset of x along column c (or -1 while
+    partial); each row is an ``array('i')`` of ``width`` cells.  Column j-1
+    carries generator j; ``inverse_column[c]`` is the column that undoes
+    column c: the paired generator's column, c itself for an involution, or
+    a formal inverse column at index >= k.  Cells are paired: every filled
+    x.c = y has y.inverse_column[c] = x, in partial tables too.
     """
 
     presentation: Presentation
@@ -51,7 +58,7 @@ class CosetTable:
     coset_count: int
     high_water: int
     limit: int
-    table: list[int] = field(repr=False)
+    rows: list[array] = field(repr=False)
     width: int
     inverse_column: list[int] = field(repr=False)
 
@@ -68,10 +75,9 @@ class CosetTable:
     def trace(self, word: Word, start: int = 0) -> int:
         if not self.closed:
             raise TableNotClosedError(f"cannot trace words in a {self.state} table")
-        tab, W = self.table, self.width
         x = start
         for signed in word:
-            x = tab[x * W + self.column(signed)]
+            x = self.rows[x][self.column(signed)]
         return x
 
     def breadth_first(
@@ -86,14 +92,14 @@ class CosetTable:
             k = self.presentation.num_generators
             gens = [s for j in range(1, k + 1) for s in (j, -j)]
         steps = [(s, self.column(s)) for s in gens]
-        tab, W = self.table, self.width
+        rows = self.rows
         seen = [False] * self.coset_count
         seen[0] = True
         queue = [0]
         for x in queue:  # the list grows while it is read: an index queue
-            base = x * W
+            row = rows[x]
             for s, c in steps:
-                y = tab[base + c]
+                y = row[c]
                 if not seen[y]:
                     seen[y] = True
                     queue.append(y)
@@ -141,31 +147,36 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
     # columns in definition order: those of +1, -1, +2, -2, ...
     order = list(dict.fromkeys(c for j in range(k) for c in (j, IC[j])))
 
-    def col_of(signed: int) -> int:
-        return signed - 1 if signed > 0 else IC[-signed - 1]
-
     # rotation forms of every relator the pairing leaves, and of its inverse,
     # grouped by first column
     forms: set[tuple[int, ...]] = set()
     for w in P.relators:
         if len(w) == 2 and w[0] > 0 and IC[w[0] - 1] == w[1] - 1:
             continue
-        cols = tuple(col_of(x) for x in w)
+        cols = tuple(x - 1 if x > 0 else IC[-x - 1] for x in w)
         inv = tuple(IC[c] for c in reversed(cols))
         for word in (cols, inv):
             for shift in range(len(word)):
                 forms.add(word[shift:] + word[:shift])
-    rot3: list[list[int]] = [[] for _ in range(W)]  # (s, u, v) -> u, v interleaved
+    # per first column s: the forms (s, u, v) of length 3 as gathers over
+    # rows[beta] at u and over rows[alpha] at IC[v]; other lengths as words
+    U: list[list[int]] = [[] for _ in range(W)]
+    T: list[list[int]] = [[] for _ in range(W)]
     rot_other: list[list[tuple[int, ...]]] = [[] for _ in range(W)]
     for f in sorted(forms):
         if len(f) == 3:
-            rot3[f[0]].extend((f[1], f[2]))
+            U[f[0]].append(f[1])
+            T[f[0]].append(IC[f[2]])
         else:
             rot_other[f[0]].append(f)
+    # itemgetter returns a bare item for one index, so the first index is
+    # gathered twice (readers stop at len(U[s])); no index gathers row[:0]
+    gather_u = [itemgetter(*u, u[0]) if u else itemgetter(slice(0)) for u in U]
+    gather_t = [itemgetter(*t, t[0]) if t else itemgetter(slice(0)) for t in T]
 
-    tab: list[int] = []
-    parent: list[int] = []
-    dead = 0
+    blank = array("i", [-1]) * W
+    rows = [blank[:]]
+    parent = [0]
     ded: list[int] = []  # deduction stack of alpha * W + s
 
     def rep(x: int) -> int:
@@ -174,50 +185,42 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
             x = parent[x]
         return x
 
-    def new_coset() -> int:
-        parent.append(len(parent))
-        tab.extend([-1] * W)
-        return len(parent) - 1
-
     def coincidence(a: int, b: int):
-        nonlocal dead
         queue: list[int] = []
         qi = 0
 
         def merge(x: int, y: int):
-            nonlocal dead
             x, y = rep(x), rep(y)
             if x == y:
                 return
             if x > y:
                 x, y = y, x
             parent[y] = x
-            dead += 1
             queue.append(y)
 
         merge(a, b)
         while qi < len(queue):
             g = queue[qi]
             qi += 1
-            base = g * W
+            rg = rows[g]
             for x in range(W):
-                d = tab[base + x]
+                d = rg[x]
                 if d == -1:
                     continue
-                tab[base + x] = -1
-                tab[d * W + IC[x]] = -1
+                rg[x] = -1
+                rows[d][IC[x]] = -1
                 mu = rep(g)
                 nu = rep(d)
-                xi = tab[mu * W + x]
+                xi = rows[mu][x]
                 if xi != -1:
                     merge(nu, xi)
                 else:
-                    ze = tab[nu * W + IC[x]]
+                    ze = rows[nu][IC[x]]
                     if ze != -1:
                         merge(mu, ze)
                     else:
-                        tab[mu * W + x] = nu
-                        tab[nu * W + IC[x]] = mu
+                        rows[mu][x] = nu
+                        rows[nu][IC[x]] = mu
                         ded.append(mu * W + x)
 
     def scan_generic(start: int, w: tuple[int, ...]):
@@ -225,7 +228,7 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
         f = start
         i = 0
         while i < L:
-            nxt = tab[f * W + w[i]]
+            nxt = rows[f][w[i]]
             if nxt == -1:
                 break
             f = nxt
@@ -237,7 +240,7 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
         b = start
         j = L - 1
         while j >= i:
-            prv = tab[b * W + IC[w[j]]]
+            prv = rows[b][IC[w[j]]]
             if prv == -1:
                 break
             b = prv
@@ -245,10 +248,10 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
         if j < i:
             coincidence(f, b)
         elif j == i:
-            mate = tab[b * W + IC[w[i]]]
+            mate = rows[b][IC[w[i]]]
             if mate == -1:
-                tab[f * W + w[i]] = b
-                tab[b * W + IC[w[i]]] = f
+                rows[f][w[i]] = b
+                rows[b][IC[w[i]]] = f
                 ded.append(f * W + w[i])
             elif mate != f:
                 coincidence(f, mate)
@@ -258,84 +261,82 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
 
         One scan per deduction is enough: the forms are closed under rotation
         and inversion, so a form starting with IC[s] at beta walks the same
-        cycle, in reverse, as a form starting with s at alpha.  Only a
-        coincidence can kill alpha or move the edge (a definition fills -1
-        slots only), so the scan bails out after one when either happened;
-        re-homed edges are re-pushed by the merge queue.
+        cycle, in reverse, as a form starting with s at alpha.  A form
+        (s, u, v) gives nothing exactly when z = beta.u equals t = alpha.IC[v]:
+        paired cells are written together, so z.v = alpha iff t = z.  Only
+        forms whose cells differ at the gather are visited (one that a fill
+        here makes fillable is met again by the scan of that fill).  Only a
+        coincidence can kill alpha or move the edge, so the scan bails out
+        after one; re-homed edges are re-pushed by the merge queue.
         """
-        abase = alpha * W
-        bbase = beta * W
-        edge_slot = abase + s
-        pairs = rot3[s]
-        for idx in range(0, len(pairs), 2):
-            u = pairs[idx]
-            v = pairs[idx + 1]
-            z = tab[bbase + u]
-            if z != -1:
-                zslot = z * W + v
-                w0 = tab[zslot]
-                if w0 == alpha:
+        ra = rows[alpha]
+        rb = rows[beta]
+        zs = gather_u[s](rb)
+        ts = gather_t[s](ra)
+        if zs != ts:
+            for i in compress(range(len(U[s])), map(ne, zs, ts)):
+                u, tv = U[s][i], T[s][i]
+                z, t = rb[u], ra[tv]  # re-read: an earlier fill may have set them
+                if z == t:
                     continue
-                if w0 != -1:
-                    coincidence(w0, alpha)
-                elif (m := tab[abase + IC[v]]) != -1:
-                    coincidence(z, m)  # m != z: paired slots are written together
+                if z != -1:
+                    v = IC[tv]
+                    rz = rows[z]
+                    if (w0 := rz[v]) != -1:
+                        coincidence(w0, alpha)
+                    elif t != -1:
+                        coincidence(z, t)
+                    else:
+                        rz[v] = alpha
+                        ra[tv] = z
+                        ded.append(z * W + v)
+                        continue
                 else:
-                    tab[zslot] = alpha
-                    tab[abase + IC[v]] = z
-                    ded.append(zslot)
-                    continue
-            else:
-                t0 = tab[abase + IC[v]]
-                if t0 == -1:
-                    continue
-                m = tab[t0 * W + IC[u]]
-                if m != -1:
-                    coincidence(beta, m)  # m != beta, likewise
-                else:
-                    tab[bbase + u] = t0
-                    tab[t0 * W + IC[u]] = beta
-                    ded.append(bbase + u)
-                    continue
-            if parent[alpha] != alpha or tab[edge_slot] != beta:
-                return
+                    rt = rows[t]
+                    m = rt[IC[u]]
+                    if m != -1:
+                        coincidence(beta, m)
+                    else:
+                        rb[u] = t
+                        rt[IC[u]] = beta
+                        ded.append(beta * W + u)
+                        continue
+                if parent[alpha] != alpha or ra[s] != beta:
+                    return
         for w in rot_other[s]:
             scan_generic(alpha, w)
-            if parent[alpha] != alpha or tab[edge_slot] != beta:
+            if parent[alpha] != alpha or ra[s] != beta:
                 return
 
-    def process_deductions():
-        while ded:
-            slot = ded.pop()
-            alpha, s = divmod(slot, W)
-            beta = tab[slot]
-            if beta != -1 and parent[alpha] == alpha:
-                scan_edge(alpha, s, beta)
-
-    new_coset()
     exceeded = False
     restart = 0
     while not exceeded:
         alpha = restart
-        while alpha < len(parent) and not exceeded:
+        while alpha < len(rows) and not exceeded:
             if parent[alpha] != alpha:
                 alpha += 1
                 continue
-            abase = alpha * W
+            row = rows[alpha]
             i = 0
             while i < W:
                 if parent[alpha] != alpha:
                     break
                 s = order[i]
-                if tab[abase + s] == -1:
-                    if len(parent) >= limit:
+                if row[s] == -1:
+                    beta = len(rows)
+                    if beta >= limit:
                         exceeded = True
                         break
-                    beta = new_coset()
-                    tab[abase + s] = beta
-                    tab[beta * W + IC[s]] = alpha
-                    ded.append(abase + s)
-                    process_deductions()
+                    parent.append(beta)
+                    rows.append(blank[:])
+                    row[s] = beta
+                    rows[beta][IC[s]] = alpha
+                    scan_edge(alpha, s, beta)
+                    while ded:
+                        a, c = divmod(ded.pop(), W)
+                        b = rows[a][c]
+                        if b != -1 and parent[a] == a:
+                            scan_edge(a, c, b)
                 else:
                     i += 1
             alpha += 1
@@ -343,30 +344,28 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
             break
         # coincidences can transiently erase slots in rows already passed;
         # rescan until a full pass finds every live row complete
-        restart = next((x for x in range(len(parent)) if parent[x] == x
-                        and -1 in tab[x * W : (x + 1) * W]), None)
+        restart = next((x for x in range(len(rows)) if parent[x] == x
+                        and -1 in rows[x]), None)
         if restart is None:
             break
 
     # compress live rows in place, keeping their relative order (0 stays 0)
     high_water = len(parent)
     live = [x for x in range(high_water) if parent[x] == x]
-    if dead:
+    if len(live) < high_water:
         renum = [-1] * (high_water + 1)  # renum[-1] keeps empty slots empty
         for new, old in enumerate(live):
             renum[old] = new
         for new, old in enumerate(live):
-            tab[new * W : (new + 1) * W] = map(
-                renum.__getitem__, tab[old * W : (old + 1) * W]
-            )
-        del tab[len(live) * W :]
+            rows[new] = array("i", map(renum.__getitem__, rows[old]))
+        del rows[len(live) :]
     return CosetTable(
         presentation=P,
         state=LIMIT_EXCEEDED if exceeded else CLOSED,
         coset_count=len(live),
         high_water=high_water,
         limit=limit,
-        table=tab,
+        rows=rows,
         width=W,
         inverse_column=IC,
     )

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -31,15 +32,25 @@ def _assert_closed_action(t, relators):
     """Every column permutes the cosets, column ``inverse_column[c]`` undoes
     column c (and the map is an involution), and every relator fixes every
     coset."""
-    n, W, IC = t.coset_count, t.width, t.inverse_column
-    assert t.closed and len(t.table) == n * W
+    n, W, IC, rows = t.coset_count, t.width, t.inverse_column, t.rows
+    assert t.closed and len(rows) == n and all(len(row) == W for row in rows)
     assert all(IC[IC[c]] == c for c in range(W))
     for c in range(W):
-        col = [t.table[x * W + c] for x in range(n)]
+        col = [row[c] for row in rows]
         assert sorted(col) == list(range(n))  # each column is a permutation
-        assert all(t.table[y * W + IC[c]] == x for x, y in enumerate(col))
+        assert all(rows[y][IC[c]] == x for x, y in enumerate(col))
     for w in relators:
         assert all(t.trace(w, x) == x for x in range(n))
+
+
+def _assert_paired(t):
+    """Every filled cell x.c = y has y.IC[c] = x, in a partial table too: the
+    scan's gather skips a form whose two cells are equal on this ground."""
+    IC = t.inverse_column
+    assert len(t.rows) == t.coset_count
+    for x, row in enumerate(t.rows):
+        assert len(row) == t.width
+        assert all(t.rows[y][IC[c]] == x for c, y in enumerate(row) if y != -1)
 
 
 # -- classic presentations (exercise coincidences and generic scans) -----------
@@ -108,6 +119,45 @@ def test_free_group_hits_limit():
     assert t.state == LIMIT_EXCEEDED
 
 
+@pytest.mark.parametrize("ngens,relators,order", [
+    # every column has exactly one length-3 form: its gathers have one index
+    (1, [(1, 1, 1)], 3),
+    (2, [(1, 1, 1), (2, 2, 2), (1, 2, -1, -2)], 9),
+])
+def test_columns_with_a_single_form(ngens, relators, order):
+    t = _manual(ngens, relators)
+    assert t.closed and t.coset_count == order
+    _assert_closed_action(t, relators)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: todd_coxeter(build_presentation(build("sym:3"), 2), limit=20000),
+    # F(2,7) merges its first cosets after about 25,000 definitions
+    lambda: _manual(7, F27_RELATORS, limit=30000),
+    # x1 x1^-1 x1 kills x1: about half the cosets defined merge before the cut
+    lambda: _manual(2, [(1, -1, 1)], limit=1000),
+], ids=["sym:3 q=2 limit 20000", "F(2,7) limit 30000", "trivial x1 limit 1000"])
+def test_partial_tables_are_paired(run):
+    t = run()
+    assert t.state == LIMIT_EXCEEDED
+    _assert_paired(t)
+
+
+def test_table_memory_per_cell():
+    """Peak Python allocation of a wide table grown to its limit: a row is
+    one array('i') of 4-byte cells (8-byte pointers plus boxed ints in a
+    list would take over 9 bytes a cell)."""
+    P = build_presentation(build("gl:3:2"), 2)
+    tracemalloc.start()
+    try:
+        t = todd_coxeter(P, limit=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.state == LIMIT_EXCEEDED and t.width == 167
+    assert peak <= 6 * t.high_water * t.width
+
+
 # -- frozen tables: the enumeration is pinned cell for cell --------------------
 
 FROZEN = {
@@ -127,7 +177,21 @@ FROZEN = {
     "sym:3 q=2 limit 20000": (
         lambda: todd_coxeter(build_presentation(build("sym:3"), 2), limit=20000),
         "37c7b00110796f33cbb3fa0374b3148080d4bd3ca82d0c2a534cdbd9c7b5712f"),
+    # the paper's headline table: 729 cosets x 242 columns, closing
+    "extraspecial:3:2 q=2": (
+        lambda: todd_coxeter(build_presentation(build("extraspecial:3:2"), 2)),
+        "80a5e65f7397bee8a8d124d77e473ad45cdea982f4413a100cd98fe48c311279"),
+    # a wide table (167 columns) cut at its limit
+    "gl:3:2 q=2 limit 5000": (
+        lambda: todd_coxeter(build_presentation(build("gl:3:2"), 2), limit=5000),
+        "3445fbef54623c9d48a735b1319d60c783e71ad716b38097f385ea321536f9b9"),
 }
+
+
+def _cells(t):
+    """Every cell of the table, row by row, as one flat list of ints.  The
+    digests hash this list, so they do not depend on how rows are stored."""
+    return [c for row in t.rows for c in row]
 
 
 @pytest.mark.parametrize("name", list(FROZEN))
@@ -136,7 +200,7 @@ def test_frozen_table(name):
     the final table; any change to them moves one of these digests."""
     run, digest = FROZEN[name]
     t = run()
-    frozen = repr((t.state, t.coset_count, t.high_water, t.inverse_column, t.table))
+    frozen = repr((t.state, t.coset_count, t.high_water, t.inverse_column, _cells(t)))
     assert hashlib.sha256(frozen.encode()).hexdigest() == digest
 
 
@@ -219,7 +283,7 @@ def test_determinism():
     P = build_presentation(G, 2)
     a = todd_coxeter(P)
     b = todd_coxeter(P)
-    assert (a.width, a.inverse_column, a.table) == (b.width, b.inverse_column, b.table)
+    assert (a.width, a.inverse_column, a.rows) == (b.width, b.inverse_column, b.rows)
     assert a.high_water == b.high_water
 
 
@@ -347,7 +411,8 @@ def test_random_presentations_close_to_an_action(presentation):
     second run reproduces it cell for cell."""
     k, relators = presentation
     t = _manual(k, relators, limit=2000)
+    _assert_paired(t)
     if t.closed:
         _assert_closed_action(t, relators)
         again = _manual(k, relators, limit=2000)
-        assert (again.high_water, again.table) == (t.high_water, t.table)
+        assert (again.high_water, again.rows) == (t.high_water, t.rows)
