@@ -9,6 +9,8 @@ solves the word problem for the finite quotients exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add
 from random import Random
 from typing import Optional, Union
 
@@ -98,19 +100,21 @@ def d2_antidiagonal_generation(
         raise GroupTooLargeError(
             f"{G.label}: antidiagonal generation needs the explicit member set"
         )
-    gens = [(g, G.inverse(g)) for g in G.elements() if g != 0]
-    seen = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        new = []
-        for (x, y) in frontier:
-            for (a, b) in gens:
-                nxt = (G.multiply(x, a), G.multiply(y, b))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    new.append(nxt)
-        frontier = new
-    return seen == target.members
+    # add each pair (g, g^-1) not yet reached, then close by a breadth-first walk
+    # over pairs coded x * n + y: two Cayley-column gathers per step and level
+    n, cols = G.order, G.cayley_columns()
+    times_n = range(0, n * n, n).__getitem__
+    seen, steps = {0}, []
+    for g, g_inv in enumerate(map(G.inverse, range(n))):
+        if g * n + g_inv not in seen:
+            steps.append((cols[g].__getitem__, cols[g_inv].__getitem__))
+            frontier = seen
+            while frontier:
+                xs, ys = zip(*map(divmod, frontier, repeat(n)))
+                reached = (map(add, map(times_n, map(a, xs)), map(b, ys)) for a, b in steps)
+                frontier = set().union(*reached) - seen
+                seen |= frontier
+    return set(map(divmod, seen, repeat(n))) == target.members
 
 
 def d2_projection_kernel(sub: D2Subgroup) -> frozenset[tuple[int, int]]:

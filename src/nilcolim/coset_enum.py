@@ -148,13 +148,14 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
     order = list(dict.fromkeys(c for j in range(k) for c in (j, IC[j])))
 
     # rotation forms of every relator the pairing leaves, and of its inverse,
-    # grouped by first column
+    # grouped by first column; a word already among them adds nothing new
+    col_of = [0, *range(k), *IC[k - 1 :: -1]]  # letter +-j at index +-j
     forms: set[tuple[int, ...]] = set()
     for w in P.relators:
-        if len(w) == 2 and w[0] > 0 and IC[w[0] - 1] == w[1] - 1:
+        cols = tuple(map(col_of.__getitem__, w))
+        if cols in forms or len(w) == 2 and w[0] > 0 and IC[w[0] - 1] == w[1] - 1:
             continue
-        cols = tuple(x - 1 if x > 0 else IC[-x - 1] for x in w)
-        inv = tuple(IC[c] for c in reversed(cols))
+        inv = tuple(map(IC.__getitem__, reversed(cols)))
         for word in (cols, inv):
             for shift in range(len(word)):
                 forms.add(word[shift:] + word[:shift])

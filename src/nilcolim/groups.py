@@ -25,6 +25,7 @@ safe to share across threads as long as ids are treated as opaque.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 MAX_ENUMERATED_ORDER = 1 << 20
@@ -584,15 +585,10 @@ def _validate_table(rows: list[list[int]], where: str) -> list[int]:
     for g in range(n):
         if len(set(rows[g])) != n or len({rows[x][g] for x in range(n)}) != n:
             raise InvalidTableError(f"{where}: row or column {g} is not a permutation")
-    for g in range(n):
-        if 0 not in rows[g]:
-            raise InvalidTableError(f"{where}: element {g} has no inverse")
-    import numpy as np
-
-    t = np.array(rows, dtype=np.int64)
     gens = _greedy_generators(rows)
-    for g in gens:
-        if not np.array_equal(t[t[:, g]], t[:, t[g]]):
+    for g in gens:  # (x g) y == x (g y): row x g against row x read at g y
+        left_by_g = itemgetter(*rows[g])
+        if any(rows[row[g]] != list(left_by_g(row)) for row in rows):
             raise InvalidTableError(f"{where}: associativity fails at generator {g}")
     return gens
 

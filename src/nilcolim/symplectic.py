@@ -276,14 +276,13 @@ def _bilinearity_exhaustive(G: FiniteGroup) -> bool:
     finite group G is a product of generators, so every commutator is central
     and G has class <= 2.  Class <= 2 gives bilinearity in every z.
     """
-    import numpy as np
-
-    mul = np.array(G.cayley_columns(), dtype=np.int32).T  # mul[x, y] = x * y
-    inv = np.array([G.inverse(a) for a in G.elements()], dtype=np.int32)
+    cols = G.cayley_columns()  # cols[b][a] == a * b
+    inv = [G.inverse(a) for a in G.elements()]
     for z in G.generators:
-        cz = mul[mul[:, z], mul[inv, inv[z]]]  # [x, z] = (x z)(x^-1 z^-1)
-        lhs = cz[mul]                    # [xy, z]
-        rhs = mul[np.ix_(cz, cz)]        # [x, z][y, z]
-        if not np.array_equal(lhs, rhs):
+        # cz[x] = [x, z] = (x z)(x^-1 z^-1); then [xy, z] against [x, z][y, z]
+        right = map(cols.__getitem__, map(cols[inv[z]].__getitem__, inv))
+        cz = list(map(list.__getitem__, right, cols[z]))
+        if any(list(map(cz.__getitem__, col)) != list(map(cols[cz[y]].__getitem__, cz))
+               for y, col in enumerate(cols)):
             return False
     return True

@@ -114,6 +114,23 @@ def d2_pair_set(mult, identity, elements):
     return {(x, y) for x in elements for y in elements if mult(x, y) in derived}
 
 
+def antidiagonal_pair_set(mult, identity, elements):
+    """<(g, g^-1) : g in G> inside G x G by BFS over keyed pair products."""
+    gens = [(g, element_inverse(mult, identity, g)) for g in elements]
+    seen = {(identity, identity)}
+    frontier = [(identity, identity)]
+    while frontier:
+        new = []
+        for x, y in frontier:
+            for a, b in gens:
+                pair = (mult(x, a), mult(y, b))
+                if pair not in seen:
+                    seen.add(pair)
+                    new.append(pair)
+        frontier = new
+    return seen
+
+
 # ---------------------------------------------------------------------------
 # permutation helpers (convention: (s*t)(x) = s(t(x)), right factor first)
 # ---------------------------------------------------------------------------

@@ -304,3 +304,22 @@ def test_cli_import_leaves_numpy_unloaded():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_verdict_and_table_info_leave_numpy_unloaded(tmp_path):
+    """No command on the verdict path or the table loader imports numpy."""
+    rows = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    path = tmp_path / "z4.tbl"
+    path.write_text("4\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
+    code = (
+        "import contextlib, io, sys\n"
+        "from nilcolim.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verdict', 'extraspecial:2:2']),\n"
+        f"             main(['info', {f'table:{path}'!r}])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] False"

@@ -9,6 +9,7 @@ from nilcolim.constructions import (
     seeded_gl_sequence_in_sym,
 )
 from nilcolim.colimit import (
+    D2Subgroup,
     conjecture_probe,
     coset_words,
     d2,
@@ -74,6 +75,24 @@ def test_d2_orders():
 
 def test_d2_antidiagonal_generation_odd_extraspecial():
     assert d2_antidiagonal_generation(build("extraspecial:3:2"))
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic:6", "sym:3", "dihedral:4", "quaternion", "alt:4", "extraspecial:2:2",
+])
+def test_antidiagonal_reaches_the_keyed_bfs_pair_set(spec):
+    # True exactly when the pairs reached are the target's members
+    G = build(spec)
+    oracle = frozenset(O.antidiagonal_pair_set(G.multiply, 0, range(G.order)))
+    target = D2Subgroup(G, len(oracle), derived_subgroup(G).order, oracle)
+    assert d2_antidiagonal_generation(G, target)
+    assert oracle == d2(G).members
+
+
+def test_d2_antidiagonal_generation_false_for_a_larger_target():
+    G = build("sym:3")
+    everything = frozenset((x, y) for x in range(6) for y in range(6))
+    assert not d2_antidiagonal_generation(G, D2Subgroup(G, 36, 6, everything))
 
 
 # -- theorem 1 ---------------------------------------------------------------------

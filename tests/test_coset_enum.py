@@ -204,6 +204,24 @@ def test_frozen_table(name):
     assert hashlib.sha256(frozen.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("ngens,relators,repeats", [
+    # A4 = <a, b | a^2, b^3, (ab)^3>: (ab)^3 again, rotated, and inverted
+    (2, [(1, 1), (2, 2, 2), (1, 2, 1, 2, 1, 2)],
+     [(2, 1, 2, 1, 2, 1), (-2, -1, -2, -1, -2, -1), (-2, -2, -2)]),
+    # the "collapse" presentation: a rotation and the inverse of its first relator
+    (2, [(1, 2, -1, -2, -2), (2, 1, -2, -1, -1)],
+     [(-1, -2, -2, 1, 2), (2, 2, 1, -2, -1)]),
+])
+def test_repeated_relator_forms_change_nothing(ngens, relators, repeats):
+    """A relator that is a rotation of another, or of its inverse, adds no
+    form; listed before or after it, the table is the same cell for cell."""
+    once = _manual(ngens, relators)
+    for listed in (relators + repeats, repeats + relators):
+        again = _manual(ngens, listed)
+        assert (again.state, again.high_water, again.inverse_column, _cells(again)) == (
+            once.state, once.high_water, once.inverse_column, _cells(once))
+
+
 # -- how the inverse columns are derived ------------------------------------------
 
 @pytest.mark.parametrize("ngens,relators,order,ic", [

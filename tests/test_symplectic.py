@@ -201,6 +201,8 @@ def test_structure_report_gl():
 @pytest.mark.parametrize("spec", [
     "cyclic:6", "quaternion", "dihedral:4", "extraspecial:2:2",
     "extraspecial:3:1", "sym:3", "alt:4", "dihedral:6", "dihedral:8",
+    "extraspecial:2:3", "extraspecial:2:4", "product:(dihedral:8),(quaternion)",
+    "product:(quaternion),(dihedral:8)",
 ])
 def test_bilinearity_is_class_at_most_two(spec):
     # [xy, z] = [x, z][y, z] for all x, y, z exactly when [G, G] is central
