@@ -9,7 +9,7 @@ solves the word problem for the finite quotients exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, compress, repeat
 from operator import add
 from random import Random
 from typing import Optional, Union
@@ -79,13 +79,12 @@ def d2(G: FiniteGroup) -> D2Subgroup:
     order = G.order * derived.order
     members = None
     if G.order <= D2_MEMBERS_MAX_ORDER:
-        dset = frozenset(derived.members)
-        members = frozenset(
-            (x, y)
-            for x in G.elements()
-            for y in G.elements()
-            if G.multiply(x, y) in dset
-        )
+        # one gather per y: the x with x*y in [G,G], read down the column cols[y]
+        in_derived, ids = frozenset(derived.members).__contains__, G.elements()
+        members = frozenset(chain.from_iterable(
+            zip(compress(ids, map(in_derived, col)), repeat(y))
+            for y, col in enumerate(G.cayley_columns())
+        ))
         if len(members) != order:
             raise AssertionError("D2 member scan disagrees with |G|*|[G,G]|")
     return D2Subgroup(G, order, derived.order, members)

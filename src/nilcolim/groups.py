@@ -12,7 +12,8 @@ the full carrier raise GroupTooLargeError instead.
 Materialized groups of order <= CAYLEY_MAX_ORDER multiply and invert by
 lookup in one Cayley table, built on the first ``multiply`` or ``inverse``
 (never at construction) and kept for the group's lifetime: n^2 list cells of
-8 bytes, at most 8 MB at the cap.  Lazy and larger groups multiply keys.
+8 bytes, at most 8 MB at the cap.  Centralizers are read off it by column
+gathers and cached per group.  Lazy and larger groups multiply keys.
 A subgroup that is the whole parent materializes as the parent itself, so
 its Cayley table and derived subgroup are built once.  Commutator subgroups
 [K, H] come from one algorithm: the normal closure of generator commutators.
@@ -25,7 +26,8 @@ safe to share across threads as long as ids are treated as opaque.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import compress
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 MAX_ENUMERATED_ORDER = 1 << 20
@@ -375,27 +377,27 @@ def derived_subgroup(H) -> Subgroup:
 
 
 def centralizer(G: FiniteGroup, g: int) -> frozenset[int]:
-    """Member ids of C_G(g), identity included, computed once per element."""
+    """Member ids of C_G(g), identity included, computed once per element:
+    g*x over all x is the gather ``cols[x][g]`` and x*g the column ``cols[g]``."""
     got = G._centralizers.get(g)
     if got is None:
-        mul = G.multiply
-        got = G._centralizers[g] = frozenset(
-            h for h in G.elements() if mul(g, h) == mul(h, g)
-        )
+        ids, cols = G.elements(), G.cayley_columns()
+        if cols:
+            got = frozenset(compress(ids, map(eq, map(itemgetter(g), cols), cols[g])))
+        else:
+            got = frozenset(h for h in ids if G.multiply(g, h) == G.multiply(h, g))
+        G._centralizers[g] = got
     return got
 
 
 def center(H) -> Subgroup:
-    """Elements of H commuting with every member (gens suffice as witnesses)."""
+    """Elements of H commuting with its generators, read off the centralizers
+    of H materialized as a group."""
     sub = _as_subgroup(H)
-    G = sub.parent
-    gens = sub.generators if sub.generators else sub.members
-    central = tuple(
-        a
-        for a in sub.members
-        if all(G.multiply(a, b) == G.multiply(b, a) for b in gens)
-    )
-    return Subgroup(G, central, tuple(a for a in central if a != 0) or ())
+    S, to_parent = sub.as_group()
+    common = frozenset(S.elements()).intersection(*(centralizer(S, b) for b in S.generators))
+    central = tuple(sorted(map(to_parent.__getitem__, common)))
+    return Subgroup(sub.parent, central, tuple(a for a in central if a != 0) or ())
 
 
 def lower_central_series(H) -> list[Subgroup]:

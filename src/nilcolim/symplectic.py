@@ -7,6 +7,7 @@ other pairs commute; it is nontrivial when c != 1.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -157,8 +158,10 @@ def find_symplectic(
 
     Slots are filled pairwise ((1, 1+r), (2, 2+r), ...) in canonical element
     order, pruning by the centralizer constraints and the fixed commutator.
-    Every candidate placement counts against the node budget; ExhaustedNone
-    is only reported when the whole pruned space was searched.
+    A node is one unplaced id in 1..n-1 tried for one slot, in ascending
+    order, pruned or not; only ids that pass the centralizer constraints are
+    visited, the pruned ones counted in bulk.  The search stops at the first
+    node past the budget; ExhaustedNone means every slot ran out of nodes.
     """
     if budget <= 0:
         raise ValueError(f"search budget must be positive, got {budget}")
@@ -174,7 +177,7 @@ def find_symplectic(
     for i in range(r):
         slot_pos.extend((i, i + r))
     assigned: dict[int, int] = {}  # position -> element id
-    used: set[int] = set()
+    used: list[int] = []  # the placed ids, ascending
     state = {"expanded": 0, "exhausted": True}
 
     def dfs(depth: int) -> Optional[tuple[int, ...]]:
@@ -187,33 +190,33 @@ def find_symplectic(
         if len(assigned) >= 2:
             c = commutator(G, assigned[0], assigned[r])
         cents = [centralizer(G, h) for p, h in assigned.items() if p != partner]
-        allowed = frozenset.intersection(*cents) if cents else range(n)
-        for g in range(1, n):
-            if g in used:
+        allowed = sorted(frozenset.intersection(*cents)) if cents else range(n)
+        base = state["expanded"]  # id g is node g - #(used ids < g) of this frame
+        for g in allowed:
+            if g == 0 or g in used:
                 continue
-            if state["expanded"] >= budget:
-                state["exhausted"] = False
-                return None
-            state["expanded"] += 1
-            if g not in allowed:
-                continue
+            node = g - bisect_left(used, g)
+            if base + node > budget:
+                break
+            state["expanded"] = base + node
             if partner_val is not None:
                 cc = commutator(G, partner_val, g)
-                if c is None:
-                    if cc == 0:  # nontrivial sequences only
-                        continue
-                else:
-                    if cc != c:
-                        continue
+                if cc == 0 or (c is not None and cc != c):  # c != 1 once set
+                    continue
             assigned[pos] = g
-            used.add(g)
+            insort(used, g)
             got = dfs(depth + 1)
             if got is not None:
                 return got
             del assigned[pos]
-            used.discard(g)
-            if state["expanded"] >= budget:
+            used.remove(g)
+            if not state["exhausted"]:
                 return None
+            base = state["expanded"] - node
+        end = base + n - 1 - len(used)
+        if end > budget:
+            end, state["exhausted"] = budget, False
+        state["expanded"] = end
         return None
 
     found = dfs(0)

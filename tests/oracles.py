@@ -9,6 +9,7 @@ reduction) over anything shared with the production code paths they check.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations, product
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,80 @@ def antidiagonal_pair_set(mult, identity, elements):
                     new.append(pair)
         frontier = new
     return seen
+
+
+# ---------------------------------------------------------------------------
+# symplectic search, one node at a time, over ids 0..n-1 with 0 the identity
+# ---------------------------------------------------------------------------
+
+def symplectic_search(mult, n, r, budget):
+    """Depth-first search for a nontrivial symplectic sequence of length 2r.
+
+    Slots fill pairwise (1, 1+r), (2, 2+r), ...; each slot tries the unplaced
+    ids 1..n-1 in ascending order, and every id tried is one node, whether or
+    not it fits.  The search stops at the first node past the budget.
+    Returns (status, nodes, sequence) with status "found", "budget-exceeded"
+    or "exhausted-none" and sequence None unless found.
+    """
+    inv = {a: element_inverse(mult, 0, a) for a in range(n)}
+
+    def comm(a, b):
+        return mult(mult(a, b), mult(inv[a], inv[b]))
+
+    slots = [p for i in range(r) for p in (i, i + r)]
+    seq = {}
+    count = {"nodes": 0, "stopped": False}
+
+    def dfs(depth):
+        if depth == 2 * r:
+            return tuple(seq[p] for p in range(2 * r))
+        pos = slots[depth]
+        partner = pos - r if pos >= r else pos + r
+        for g in range(1, n):
+            if g in seq.values():
+                continue
+            if count["nodes"] >= budget:
+                count["stopped"] = True
+                return None
+            count["nodes"] += 1
+            if any(mult(g, h) != mult(h, g) for p, h in seq.items() if p != partner):
+                continue
+            if partner in seq:
+                k = comm(seq[partner], g)
+                if k == 0 or (pos > r and k != comm(seq[0], seq[r])):
+                    continue
+            seq[pos] = g
+            got = dfs(depth + 1)
+            del seq[pos]
+            if got is not None or count["stopped"]:
+                return got
+        return None
+
+    got = dfs(0)
+    if got is not None:
+        return "found", count["nodes"], got
+    status = "budget-exceeded" if count["stopped"] else "exhausted-none"
+    return status, count["nodes"], None
+
+
+def symplectic_canonical(mult, seq):
+    """Least flattening of a symplectic sequence over all orders of its
+    partner pairs, the swap of both halves and, when its commutator c has
+    c^2 = 1, the swap of any single pair."""
+    r = len(seq) // 2
+    a, b = seq[0], seq[r]
+    c = mult(mult(a, b), mult(element_inverse(mult, 0, a), element_inverse(mult, 0, b)))
+    involution = mult(c, c) == 0
+    best = None
+    for pairs in permutations([(seq[i], seq[i + r]) for i in range(r)]):
+        for flips in product((False, True), repeat=r):
+            if not involution and len(set(flips)) > 1:
+                continue
+            cand = [(y, x) if f else (x, y) for (x, y), f in zip(pairs, flips)]
+            flat = tuple(x for x, _ in cand) + tuple(y for _, y in cand)
+            if best is None or flat < best:
+                best = flat
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,14 @@ def test_symplectic_find_budget_exhausted_exit(capsys):
         assert code == 0
 
 
+def test_symplectic_find_budget_spent_on_a_frames_last_node(capsys):
+    # the full search of cyclic:4 takes 9 nodes; the 3rd is the last of a frame
+    code, doc, _ = run_json(capsys, "symplectic", "find", "cyclic:4", "--budget", "3")
+    assert code == 2
+    assert doc["symplectic"]["status"] == "budget-exceeded"
+    assert doc["symplectic"]["expanded"] == 3
+
+
 def test_symplectic_find_seeded(capsys):
     code, doc, _ = run_json(capsys, "symplectic", "find", "sym:16", "--seed-gl")
     assert code == 0

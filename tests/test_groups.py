@@ -29,7 +29,7 @@ from nilcolim.groups import (
     inversion_map,
 )
 from nilcolim.constructions import symmetric_group
-from nilcolim.permutations import format_cycles
+from nilcolim.permutations import format_cycles, parse_cycles
 
 import oracles as O
 
@@ -395,6 +395,12 @@ def test_full_subgroup_and_center_of_subgroup():
     sub = full_subgroup(e22)
     assert center(sub).order == 2
     assert derived_subgroup(sub).order == 2
+    # a proper subgroup of a tabled group and one of a lazy group: D4 in S4 and S16
+    for G in (build("sym:4"), build("sym:16")):
+        gens = [G.id_of_key(parse_cycles(c, len(G.key_of(0)))) for c in ("(1 2 3 4)", "(1 3)")]
+        d4 = closure(G, gens)
+        z = center(d4)
+        assert d4.order == 8 and z.members == (0, G.id_of_key(parse_cycles("(1 3)(2 4)", len(G.key_of(0)))))
 
 
 def test_table_file_rejects_non_associative_loop_of_order_600(tmp_path):
@@ -486,6 +492,23 @@ def test_centralizer_is_the_commuting_set(spec):
     assert sum(len(centralizer(G, g)) for g in G.elements()) == (
         len(conjugacy_classes(G)) * G.order
     )
+
+
+@pytest.mark.parametrize("spec,mult,ids", [
+    ("sym:4", O.perm_mult, None),
+    ("quaternion", O.q8_mult, None),
+    ("extraspecial:3:1", O.heisenberg_mult(3, 1), None),
+    ("gl:2:7", O.perm_mult, (0, 1, 2, 5, 77, 2015)),  # order 2016: no Cayley table
+])
+def test_centralizer_matches_the_oracle_commuting_set(spec, mult, ids):
+    G = build(spec)
+    keys = [G.key_of(h) for h in G.elements()]
+    for g in ids or G.elements():
+        k = keys[g]
+        assert centralizer(G, g) == {
+            h for h, kh in enumerate(keys) if mult(k, kh) == mult(kh, k)
+        }
+    assert bool(G.cayley_columns()) == (ids is None)
 
 
 def _sympy_group(G):

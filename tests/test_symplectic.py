@@ -1,6 +1,10 @@
 """Certification and search for symplectic sequences."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nilcolim import build, closure, commutator, nilpotency_class
 from nilcolim.constructions import (
@@ -23,6 +27,8 @@ from nilcolim.symplectic import (
     sequence_subgroup,
     structure_report,
 )
+
+import oracles as O
 
 
 def test_check_extraspecial_basis():
@@ -225,3 +231,37 @@ def test_find_soundness_randomized_groups():
             assert isinstance(check_symplectic(got.group, got.elements), SymplecticSequence)
         else:
             assert isinstance(got, ExhaustedNone)
+
+
+@lru_cache(maxsize=None)
+def _group_and_keyed_table(spec):
+    """The group and its multiplication table by key arithmetic, apart from
+    the Cayley columns that the search reads."""
+    G = build(spec)
+    keyed = [G.key_of(a) for a in G.elements()]
+    table = [[G.id_of_key(G._mul_key(a, b)) for b in keyed] for a in keyed]
+    return G, table
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["cyclic:4", "cyclic:6", "dihedral:4", "dihedral:6", "quaternion",
+                     "sym:3", "sym:4", "alt:4", "extraspecial:2:2"]),
+    st.sampled_from([2, 3]),
+    st.one_of(st.integers(1, 60), st.integers(1, 12_000)),
+)
+# budgets 3 and 6 end on the last node of a frame of cyclic:4; 9 ends the search
+@example("cyclic:4", 2, 3)
+@example("cyclic:4", 2, 6)
+@example("cyclic:4", 2, 9)
+def test_find_counts_nodes_like_the_per_node_search(spec, r, budget):
+    G, table = _group_and_keyed_table(spec)
+    mult = lambda a, b: table[a][b]  # noqa: E731
+    status, nodes, seq = O.symplectic_search(mult, G.order, r, budget)
+    got = find_symplectic(G, r, budget)
+    if status == "found":
+        assert isinstance(got, SymplecticSequence)
+        assert got.elements == O.symplectic_canonical(mult, seq)
+    else:
+        kind = NotFoundWithinBudget if status == "budget-exceeded" else ExhaustedNone
+        assert type(got) is kind and got.expanded == nodes
