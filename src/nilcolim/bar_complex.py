@@ -214,7 +214,8 @@ def h1_consistency(
 ) -> bool:
     """H_1 of the complex must match the abelianized colimit presentation.
 
-    The fundamental group of the level-q complex is the level-q colimit, so
-    its first homology is the abelianization of that presentation.
+    The level-q complex has the level-q colimit as fundamental group, so its
+    H_1 is that presentation abelianized.  d_2 has a column per class-<q pair,
+    the presentation a relator per class, so this re-checks that reduction.
     """
     return homology(G, q, 1, max_simplices) == presented_h1(G, q)

@@ -147,13 +147,12 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
     # columns in definition order: those of +1, -1, +2, -2, ...
     order = list(dict.fromkeys(c for j in range(k) for c in (j, IC[j])))
 
-    # rotation forms of every relator the pairing leaves, and of its inverse,
-    # grouped by first column; a word already among them adds nothing new
+    # rotation forms of each relator the pairing leaves and of its inverse
     col_of = [0, *range(k), *IC[k - 1 :: -1]]  # letter +-j at index +-j
     forms: set[tuple[int, ...]] = set()
     for w in P.relators:
         cols = tuple(map(col_of.__getitem__, w))
-        if cols in forms or len(w) == 2 and w[0] > 0 and IC[w[0] - 1] == w[1] - 1:
+        if len(w) == 2 and w[0] > 0 and IC[w[0] - 1] == w[1] - 1:
             continue
         inv = tuple(map(IC.__getitem__, reversed(cols)))
         for word in (cols, inv):

@@ -1,10 +1,13 @@
 """Presentations of the abelian-subgroup colimit of a finite group.
 
-The presentation has one generator per non-identity element of G, and one
-relator per ordered pair (g, h) of non-identity elements whose span has
-nilpotency class below q: the word (gh)^-1 (g)(h), or (g)(h) when gh = 1.
-Since element ids are canonical and the identity is id 0, generator j
-(1-based) simply names the element with id j.
+The presentation has one generator per non-identity element of G: generator j
+(1-based) names the element with id j, as ids are canonical and 0 is the
+identity.  For each ordered pair (g, h) of non-identity elements whose span has
+class below q, the relator is (g)(h) when gh = 1, always kept, else (k)^-1 (g)(h)
+with k = gh.  The pairs (g, h), (h, k^-1), (k^-1, g), (h^-1, g^-1), (g^-1, k)
+and (k, h^-1) give one cyclic word up to rotation and inversion once (x^-1) is
+read as (x)^-1, as the length-2 relators say, so only the least is kept: the
+group is the same, and a map kills all pair relators iff it kills the kept ones.
 
 Words are sequences of signed 1-based generator indices: +j for generator j,
 -j for its inverse.
@@ -53,13 +56,20 @@ def build_presentation(G: FiniteGroup, q: int) -> Presentation:
             f"{G.label}: presentations are built for groups of order "
             f"<= {PRESENTATION_MAX_ORDER}, got {G.order}"
         )
-    n = G.order
+    n, mul, inv = G.order, G.multiply, G.inverse
     relators: list[Word] = []
     for g in range(1, n):
-        for h in range(1, n):
-            if pair_generates_class_below(G, g, h, q):
-                gh = G.multiply(g, h)
-                relators.append((g, h) if gh == 0 else (-gh, g, h))
+        gi = inv(g)
+        # (h, k^-1) < (g, h) when h < g, and (g^-1, k) < (g, h) when g^-1 < g
+        for h in range(g, n) if g <= gi else (gi,):
+            k = mul(g, h)
+            if k == 0:
+                relators.append((g, h))
+            elif q > 2 or mul(h, g) == k:
+                hi, ki = inv(h), inv(k)
+                first = (g, h) <= min((h, ki), (ki, g), (hi, gi), (gi, k), (k, hi))
+                if first and (q == 2 or pair_generates_class_below(G, g, h, q)):
+                    relators.append((-k, g, h))
     return Presentation(G, q, tuple(range(1, n)), relators)
 
 

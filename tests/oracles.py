@@ -133,6 +133,55 @@ def antidiagonal_pair_set(mult, identity, elements):
 
 
 # ---------------------------------------------------------------------------
+# colimit relators: the full pair scan and its rotation-and-inversion classes,
+# over ids 0..n-1 with 0 the identity
+# ---------------------------------------------------------------------------
+
+def colimit_pair_relators(mult, n, q):
+    """One relator per ordered pair (g, h) of non-identity ids whose span has
+    nilpotency class below q, in row-major order (g outer): (g, h) when
+    gh = 0, else (-gh, g, h).  At q = 2 the span is abelian iff g, h commute;
+    above it the class is read off the literal closure of {g, h}."""
+    spans = {}
+
+    def gate(g, h):
+        if q == 2:
+            return mult(g, h) == mult(h, g)
+        key = frozenset((g, h))
+        if key not in spans:
+            c = nilpotency_class_of(mult, 0, fixpoint_closure(mult, 0, key))
+            spans[key] = c is not None and c < q
+        return spans[key]
+
+    rels = []
+    for g in range(1, n):
+        for h in range(1, n):
+            if gate(g, h):
+                gh = mult(g, h)
+                rels.append((g, h) if gh == 0 else (-gh, g, h))
+    return rels
+
+
+def relator_class_key(word, inv):
+    """The relator as a cyclic word of elements (letter +j is element j, -j
+    is inv[j]), up to rotation and inversion: its least rotation."""
+    elems = tuple(j if j > 0 else inv[-j] for j in word)
+    back = tuple(inv[e] for e in reversed(elems))
+    return min(w[i:] + w[:i] for w in (elems, back) for i in range(len(w)))
+
+
+def first_of_each_class(relators, inv):
+    """Every length-2 relator, and the first of each class among the rest."""
+    seen, out = set(), []
+    for w in relators:
+        key = relator_class_key(w, inv)
+        if len(w) == 2 or key not in seen:
+            seen.add(key)
+            out.append(w)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # symplectic search, one node at a time, over ids 0..n-1 with 0 the identity
 # ---------------------------------------------------------------------------
 

@@ -196,7 +196,7 @@ def test_criterion_7_h1_consistency():
         G = build(spec)
         P = build_presentation(G, 2)
         rows = []
-        for w in P.relators:
+        for w in O.colimit_pair_relators(G.multiply, G.order, 2):  # every pair
             vec = [0] * P.num_generators
             for s in w:
                 vec[abs(s) - 1] += 1 if s > 0 else -1

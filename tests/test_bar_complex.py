@@ -251,7 +251,8 @@ def test_h2_extraspecial_2_2():
 
 
 def test_h1_extraspecial_3_2_matches_presentation():
-    # d_2 is 242 x 19684 and the relator matrix 19684 x 242
+    # d_2 is 242 x 19684, one column per commuting pair; the relator matrix
+    # is 3563 x 242, one row per rotation-and-inversion class
     G = build("extraspecial:3:2")
     assert h1_consistency(G)
     assert presented_h1(G) == SNFResult(rank=0, torsion=(3,) * 5)

@@ -1,10 +1,22 @@
 """The colimit presentation: relator sets, dump format, word helpers."""
 
-import pytest
+from collections import Counter
 
-from nilcolim import build
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nilcolim import build, omega_check, presented_h1, todd_coxeter
+from nilcolim.colimit import span_map_into_ambient_colimit
+from nilcolim.constructions import (
+    extraspecial_group,
+    extraspecial_symplectic_basis,
+    quaternion_group,
+)
 from nilcolim.groups import GroupTooLargeError
+from nilcolim.permutations import format_cycles
 from nilcolim.presentations import (
+    Presentation,
     build_presentation,
     commutator_word,
     concat_words,
@@ -13,6 +25,9 @@ from nilcolim.presentations import (
     presentation_dumps,
     word_for_element,
 )
+from nilcolim.symplectic import check_symplectic
+
+import oracles as O
 
 
 def _relator_pair(G, w):
@@ -29,25 +44,94 @@ def test_generator_indexing_matches_ids():
     assert P.num_generators == 4
 
 
-@pytest.mark.parametrize("spec,expected", [
-    ("cyclic:4", 9),            # all ordered non-identity pairs commute
-    ("cyclic:16", 225),
-    ("sym:3", 7),               # pairs inside the four abelian subgroups
-    ("quaternion", 25),         # 40 commuting pairs minus 15 with an identity slot
-    ("extraspecial:2:2", 481),
+def _keyed(G):
+    """G's multiplication through its keys, apart from its Cayley table."""
+    return lambda a, b: G.id_of_key(G._mul_key(G.key_of(a), G.key_of(b)))
+
+
+def _full_relators(G, q):
+    """The oracle's relator for every class-<q pair, in row-major order."""
+    return O.colimit_pair_relators(_keyed(G), G.order, q)
+
+
+def _full_presentation(G, q):
+    return Presentation(G, q, tuple(range(1, G.order)), _full_relators(G, q))
+
+
+def _assert_one_relator_per_class(G, q, P):
+    """P keeps every length-2 relator and exactly the first relator of each
+    rotation-and-inversion class of the full pair scan; every class-<q pair
+    lies in the class of exactly one kept relator.  Returns the full list."""
+    mult = _keyed(G)
+    inv = [O.element_inverse(mult, 0, a) for a in range(G.order)]
+    full = O.colimit_pair_relators(mult, G.order, q)
+    assert P.relators == O.first_of_each_class(full, inv)
+    kept = Counter(O.relator_class_key(w, inv) for w in P.relators if len(w) == 3)
+    assert set(kept.values()) <= {1}
+    assert {O.relator_class_key(w, inv) for w in full if len(w) == 3} == set(kept)
+    return full
+
+
+# ids name the commuting ordered pairs of non-identity elements: the full scan
+@pytest.mark.parametrize("spec,pairs,kept", [
+    pytest.param("cyclic:4", 9, 4, id="cyclic:4-9"),  # all pairs commute
+    pytest.param("cyclic:16", 225, 50, id="cyclic:16-225"),
+    # pairs inside the four abelian subgroups
+    pytest.param("sym:3", 7, 6, id="sym:3-7"),
+    # 40 commuting pairs minus 15 with an identity slot
+    pytest.param("quaternion", 25, 10, id="quaternion-25"),
+    pytest.param("extraspecial:2:2", 481, 106, id="extraspecial:2:2-481"),
 ])
-def test_relator_counts_q2(spec, expected):
+def test_relator_counts_q2(spec, pairs, kept):
     G = build(spec)
     P = build_presentation(G, 2)
-    assert len(P.relators) == expected
+    assert len(P.relators) == kept
+    full = _assert_one_relator_per_class(G, 2, P)
+    assert len(full) == pairs
     # oracle: commuting ordered pairs among non-identity elements
-    oracle = sum(
+    assert pairs == sum(
         1
         for g in range(1, G.order)
         for h in range(1, G.order)
         if G.multiply(g, h) == G.multiply(h, g)
     )
-    assert len(P.relators) == oracle
+
+
+def test_keyed_path_keeps_the_same_relators():
+    """A group with its Cayley table withheld multiplies and inverts through
+    its keys, as groups of order 1025-4096 do; the relators stay the same."""
+    for spec, make in [("quaternion", quaternion_group),
+                       ("extraspecial:2:2", lambda: extraspecial_group(2, 2))]:
+        for q in (2, 3):
+            G = make()
+            G._cols = ()
+            P = build_presentation(G, q)
+            assert G.cayley_columns() == ()
+            _assert_one_relator_per_class(G, q, P)
+            assert P.relators == build_presentation(build(spec), q).relators
+
+
+_FACTORS = ["cyclic:2", "cyclic:3", "cyclic:4", "sym:3"]
+
+
+@st.composite
+def _small_specs(draw):
+    """product: groups of order at most 16 and perm: groups on at most 4 points."""
+    if draw(st.booleans()):
+        left, right = draw(st.sampled_from(_FACTORS)), draw(st.sampled_from(_FACTORS))
+        if "sym:3" in (left, right) and "cyclic:2" not in (left, right):
+            right = "cyclic:2"
+        return f"product:({left}),({right})"
+    degree = draw(st.integers(2, 4))
+    perms = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return "perm:" + ";".join(format_cycles(p) for p in perms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_specs(), st.sampled_from([2, 3]))
+def test_one_relator_per_class_property(spec, q):
+    G = build(spec)
+    _assert_one_relator_per_class(G, q, build_presentation(G, q))
 
 
 def test_relator_words_encode_products():
@@ -83,7 +167,8 @@ def test_q3_relators_for_quaternion():
     # every pair of quaternions spans a subgroup of class <= 2
     G = build("quaternion")
     P = build_presentation(G, 3)
-    assert len(P.relators) == 49
+    assert len(P.relators) == 14
+    assert len(_assert_one_relator_per_class(G, 3, P)) == 49
 
 
 def test_presentation_size_ceiling():
@@ -126,3 +211,66 @@ def test_trivial_group_presentation():
     G = build("cyclic:1")
     P = build_presentation(G, 2)
     assert P.num_generators == 0 and P.relators == []
+
+
+# -- one relator per class changes no answer -------------------------------------
+
+def _table_state(t):
+    return (t.state, t.coset_count, t.high_water, t.width, t.inverse_column, t.rows)
+
+
+@pytest.mark.parametrize("spec,q", [
+    ("cyclic:16", 2), ("sym:3", 2), ("quaternion", 2), ("extraspecial:2:2", 2),
+    ("sym:4", 2), ("quaternion", 3), ("dihedral:4", 3), ("extraspecial:2:2", 3),
+])
+def test_full_relator_list_enumerates_the_same_table(spec, q):
+    G = build(spec)
+    reduced = todd_coxeter(build_presentation(G, q), 2000)
+    full = todd_coxeter(_full_presentation(G, q), 2000)
+    assert _table_state(reduced) == _table_state(full)
+
+
+@pytest.mark.parametrize("spec,q", [
+    ("cyclic:6", 2), ("sym:3", 2), ("quaternion", 2), ("dihedral:4", 2),
+    ("extraspecial:2:2", 2), ("quaternion", 3), ("dihedral:4", 3),
+])
+def test_full_relator_list_has_the_presented_h1(spec, q):
+    G = build(spec)
+    dense = []
+    for w in _full_relators(G, q):
+        vec = [0] * (G.order - 1)
+        for signed in w:
+            vec[abs(signed) - 1] += 1 if signed > 0 else -1
+        dense.append(vec)
+    rank, torsion = O.abelian_invariants(G.order - 1, dense)
+    res = presented_h1(G, q)
+    assert (res.rank, res.torsion) == (rank, tuple(torsion))
+
+
+def test_full_relator_list_gives_the_same_omega_reports():
+    # extraspecial:2:2 at q = 2 has every power map well defined; at q = 3
+    # each table is the group itself, where none of them is
+    for spec, q in [("extraspecial:2:2", 2), ("quaternion", 3), ("dihedral:4", 3),
+                    ("extraspecial:2:2", 3)]:
+        G = build(spec)
+        reduced = todd_coxeter(build_presentation(G, q))
+        full = todd_coxeter(_full_presentation(G, q))
+        assert reduced.closed and full.closed
+        for n in (-1, 0, 2, 3):
+            assert omega_check(reduced, n) == omega_check(full, n)
+
+
+def test_full_relator_list_gives_the_same_span_map_report():
+    e22, basis = extraspecial_symplectic_basis(2, 2)
+    G = build("product:(extraspecial:2:2),(cyclic:2)")
+    z_id = build("cyclic:2").key_of(0)
+    seq = check_symplectic(G, [G.id_of_key((e22.key_of(b), z_id)) for b in basis])
+    S = seq.span[0]
+    reports = [
+        span_map_into_ambient_colimit(seq, todd_coxeter(g_pres), todd_coxeter(s_pres))
+        for g_pres, s_pres in [
+            (build_presentation(G, 2), build_presentation(S, 2)),
+            (_full_presentation(G, 2), _full_presentation(S, 2)),
+        ]
+    ]
+    assert reports[0] == reports[1] and reports[0].embeds
