@@ -15,9 +15,10 @@ partner in a relator (a)(b) or (b)(a) share a column pair: a^-1 is traced in
 b's column (a's own for (a)(a)) and those relators are dropped.  That pairs
 every generator of a colimit presentation; any other generator keeps a formal
 inverse column.  What is left is overwhelmingly pair relators of length 3,
-whose cells are gathered per column with ``itemgetter`` from the table's
-``array('i')`` rows (see ``scan_edge``); other lengths use a generic
-two-ended scan.
+whose cells are gathered per column with one precompiled ``struct`` read (see
+``scan_edge``); other lengths use a generic two-ended scan.  The table is one
+flat ``array('i')``, W cells a coset, so cell alpha * W + s is the edge alpha.s;
+merged cosets are flagged in a ``bytearray`` and forwarded by a dict.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, groupby
 from operator import itemgetter, ne
+from struct import Struct
 from typing import Optional
 
 from .presentations import Presentation, Word
@@ -35,6 +37,7 @@ DEFAULT_COSET_LIMIT = 10 ** 6
 
 CLOSED = "closed"
 LIMIT_EXCEEDED = "limit-exceeded"
+_CELL = array("i").itemsize  # bytes a cell
 
 
 class TableNotClosedError(RuntimeError):
@@ -43,14 +46,14 @@ class TableNotClosedError(RuntimeError):
 
 @dataclass
 class CosetTable:
-    """Result of an enumeration: live rows renumbered 0..coset_count-1.
+    """Result of an enumeration: live cosets renumbered 0..coset_count-1.
 
-    ``rows[x][c]`` is the target coset of x along column c (or -1 while
-    partial); each row is an ``array('i')`` of ``width`` cells.  Column j-1
-    carries generator j; ``inverse_column[c]`` is the column that undoes
-    column c: the paired generator's column, c itself for an involution, or
-    a formal inverse column at index >= k.  Cells are paired: every filled
-    x.c = y has y.inverse_column[c] = x, in partial tables too.
+    ``cells[x * width + c]``, in one ``array('i')``, is the target coset of x
+    along column c (or -1 while partial).  Column j-1 carries generator j;
+    ``inverse_column[c]`` is the column that undoes column c: the paired
+    generator's column, c itself for an involution, or a formal inverse column
+    at index >= k.  Cells are paired: every filled x.c = y has
+    y.inverse_column[c] = x, in partial tables too.
     """
 
     presentation: Presentation
@@ -58,7 +61,7 @@ class CosetTable:
     coset_count: int
     high_water: int
     limit: int
-    rows: list[array] = field(repr=False)
+    cells: array = field(repr=False)
     width: int
     inverse_column: list[int] = field(repr=False)
 
@@ -75,9 +78,9 @@ class CosetTable:
     def trace(self, word: Word, start: int = 0) -> int:
         if not self.closed:
             raise TableNotClosedError(f"cannot trace words in a {self.state} table")
-        x = start
+        x, W = start, self.width
         for signed in word:
-            x = self.rows[x][self.column(signed)]
+            x = self.cells[x * W + self.column(signed)]
         return x
 
     def breadth_first(
@@ -92,14 +95,14 @@ class CosetTable:
             k = self.presentation.num_generators
             gens = [s for j in range(1, k + 1) for s in (j, -j)]
         steps = [(s, self.column(s)) for s in gens]
-        rows = self.rows
+        cells, W = self.cells, self.width
         seen = [False] * self.coset_count
         seen[0] = True
         queue = [0]
         for x in queue:  # the list grows while it is read: an index queue
-            row = rows[x]
+            xW = x * W
             for s, c in steps:
-                y = row[c]
+                y = cells[xW + c]
                 if not seen[y]:
                     seen[y] = True
                     queue.append(y)
@@ -134,6 +137,21 @@ def _inverse_columns(P: Presentation) -> list[int]:
     return IC
 
 
+def _gather(positions: list[int]):
+    """``(read, order)``: ``read(cells, byte offset of a row)`` unpacks the row's
+    distinct ``positions`` in sorted order, a run of adjacent cells as one ``Ni``
+    code; ``order`` maps them to ``positions``' order, None where that is sorted."""
+    distinct = sorted(set(positions))
+    fmt, end = [], 0
+    for _, run in groupby(enumerate(distinct), lambda ip: ip[1] - ip[0]):
+        run = [p for _, p in run]
+        fmt.append(f"{(run[0] - end) * _CELL}x{len(run)}i")
+        end = run[-1] + 1
+    at = {p: i for i, p in enumerate(distinct)}.__getitem__
+    order = itemgetter(*map(at, positions)) if distinct != positions else None
+    return Struct("".join(fmt)).unpack_from, order
+
+
 def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTable:
     if limit < 1:
         raise ValueError(f"coset limit must be >= 1, got {limit}")
@@ -159,7 +177,7 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
             for shift in range(len(word)):
                 forms.add(word[shift:] + word[:shift])
     # per first column s: the forms (s, u, v) of length 3 as gathers over
-    # rows[beta] at u and over rows[alpha] at IC[v]; other lengths as words
+    # beta's cells at u and over alpha's at IC[v]; other lengths as words
     U: list[list[int]] = [[] for _ in range(W)]
     T: list[list[int]] = [[] for _ in range(W)]
     rot_other: list[list[tuple[int, ...]]] = [[] for _ in range(W)]
@@ -169,25 +187,24 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
             T[f[0]].append(IC[f[2]])
         else:
             rot_other[f[0]].append(f)
-    # itemgetter returns a bare item for one index, so the first index is
-    # gathered twice (readers stop at len(U[s])); no index gathers row[:0]
-    gather_u = [itemgetter(*u, u[0]) if u else itemgetter(slice(0)) for u in U]
-    gather_t = [itemgetter(*t, t[0]) if t else itemgetter(slice(0)) for t in T]
+    del forms
+    plan = [(*_gather(u), *_gather(t), u, t, r) for u, t, r in zip(U, T, rot_other)]
 
+    WB = W * _CELL  # bytes a coset
     blank = array("i", [-1]) * W
-    rows = [blank[:]]
-    parent = [0]
-    ded: list[int] = []  # deduction stack of alpha * W + s
+    cells = blank[:]
+    dead = bytearray(1)  # dead[x]: x was merged into a smaller coset
+    fwd: dict[int, int] = {}  # dead coset -> a coset it was merged into
+    ded: list[int] = []  # deduction stack of cell indices alpha * W + s
 
     def rep(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+        while dead[x]:  # with path halving
+            y = fwd[x]
+            fwd[x] = x = fwd.get(y, y)
         return x
 
     def coincidence(a: int, b: int):
         queue: list[int] = []
-        qi = 0
 
         def merge(x: int, y: int):
             x, y = rep(x), rep(y)
@@ -195,32 +212,29 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
                 return
             if x > y:
                 x, y = y, x
-            parent[y] = x
+            dead[y], fwd[y] = 1, x
             queue.append(y)
 
         merge(a, b)
-        while qi < len(queue):
-            g = queue[qi]
-            qi += 1
-            rg = rows[g]
+        for g in queue:  # the list grows while it is read
             for x in range(W):
-                d = rg[x]
+                d = cells[g * W + x]
                 if d == -1:
                     continue
-                rg[x] = -1
-                rows[d][IC[x]] = -1
+                cells[g * W + x] = -1
+                cells[d * W + IC[x]] = -1
                 mu = rep(g)
                 nu = rep(d)
-                xi = rows[mu][x]
+                xi = cells[mu * W + x]
                 if xi != -1:
                     merge(nu, xi)
                 else:
-                    ze = rows[nu][IC[x]]
+                    ze = cells[nu * W + IC[x]]
                     if ze != -1:
                         merge(mu, ze)
                     else:
-                        rows[mu][x] = nu
-                        rows[nu][IC[x]] = mu
+                        cells[mu * W + x] = nu
+                        cells[nu * W + IC[x]] = mu
                         ded.append(mu * W + x)
 
     def scan_generic(start: int, w: tuple[int, ...]):
@@ -228,7 +242,7 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
         f = start
         i = 0
         while i < L:
-            nxt = rows[f][w[i]]
+            nxt = cells[f * W + w[i]]
             if nxt == -1:
                 break
             f = nxt
@@ -240,7 +254,7 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
         b = start
         j = L - 1
         while j >= i:
-            prv = rows[b][IC[w[j]]]
+            prv = cells[b * W + IC[w[j]]]
             if prv == -1:
                 break
             b = prv
@@ -248,10 +262,10 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
         if j < i:
             coincidence(f, b)
         elif j == i:
-            mate = rows[b][IC[w[i]]]
+            mate = cells[b * W + IC[w[i]]]
             if mate == -1:
-                rows[f][w[i]] = b
-                rows[b][IC[w[i]]] = f
+                cells[f * W + w[i]] = b
+                cells[b * W + IC[w[i]]] = f
                 ded.append(f * W + w[i])
             elif mate != f:
                 coincidence(f, mate)
@@ -264,108 +278,109 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
         cycle, in reverse, as a form starting with s at alpha.  A form
         (s, u, v) gives nothing exactly when z = beta.u equals t = alpha.IC[v]:
         paired cells are written together, so z.v = alpha iff t = z.  Only
-        forms whose cells differ at the gather are visited (one that a fill
-        here makes fillable is met again by the scan of that fill).  Only a
-        coincidence can kill alpha or move the edge, so the scan bails out
-        after one; re-homed edges are re-pushed by the merge queue.
+        forms whose cells differ in the two ``_gather`` reads are visited (one
+        that a fill here makes fillable is met again by the scan of that fill).
+        A coincidence alone can kill alpha or move the edge, so the scan bails
+        out after one; re-homed edges are re-pushed by the merge queue.
         """
-        ra = rows[alpha]
-        rb = rows[beta]
-        zs = gather_u[s](rb)
-        ts = gather_t[s](ra)
+        read_u, order_u, read_t, order_t, us, tvs, rot = plan[s]
+        zs = read_u(cells, beta * WB)
+        ts = read_t(cells, alpha * WB)
+        if order_u:
+            zs = order_u(zs)
+        if order_t:
+            ts = order_t(ts)
         if zs != ts:
-            for i in compress(range(len(U[s])), map(ne, zs, ts)):
-                u, tv = U[s][i], T[s][i]
-                z, t = rb[u], ra[tv]  # re-read: an earlier fill may have set them
+            aW, bW = alpha * W, beta * W
+            for i in compress(range(len(us)), map(ne, zs, ts)):
+                u, tv = us[i], tvs[i]
+                z, t = cells[bW + u], cells[aW + tv]  # a fill above may have set them
                 if z == t:
                     continue
                 if z != -1:
                     v = IC[tv]
-                    rz = rows[z]
-                    if (w0 := rz[v]) != -1:
+                    if (w0 := cells[z * W + v]) != -1:
                         coincidence(w0, alpha)
                     elif t != -1:
                         coincidence(z, t)
                     else:
-                        rz[v] = alpha
-                        ra[tv] = z
+                        cells[z * W + v] = alpha
+                        cells[aW + tv] = z
                         ded.append(z * W + v)
                         continue
                 else:
-                    rt = rows[t]
-                    m = rt[IC[u]]
+                    m = cells[t * W + IC[u]]
                     if m != -1:
                         coincidence(beta, m)
                     else:
-                        rb[u] = t
-                        rt[IC[u]] = beta
+                        cells[bW + u] = t
+                        cells[t * W + IC[u]] = beta
                         ded.append(beta * W + u)
                         continue
-                if parent[alpha] != alpha or ra[s] != beta:
+                if dead[alpha] or cells[aW + s] != beta:
                     return
-        for w in rot_other[s]:
+        for w in rot:
             scan_generic(alpha, w)
-            if parent[alpha] != alpha or ra[s] != beta:
+            if dead[alpha] or cells[alpha * W + s] != beta:
                 return
 
     exceeded = False
     restart = 0
     while not exceeded:
         alpha = restart
-        while alpha < len(rows) and not exceeded:
-            if parent[alpha] != alpha:
+        while alpha < len(dead) and not exceeded:
+            if dead[alpha]:
                 alpha += 1
                 continue
-            row = rows[alpha]
+            aW = alpha * W
             i = 0
             while i < W:
-                if parent[alpha] != alpha:
+                if dead[alpha]:
                     break
                 s = order[i]
-                if row[s] == -1:
-                    beta = len(rows)
+                if cells[aW + s] == -1:
+                    beta = len(dead)
                     if beta >= limit:
                         exceeded = True
                         break
-                    parent.append(beta)
-                    rows.append(blank[:])
-                    row[s] = beta
-                    rows[beta][IC[s]] = alpha
+                    dead.append(0)
+                    cells.extend(blank)
+                    cells[aW + s] = beta
+                    cells[beta * W + IC[s]] = alpha
                     scan_edge(alpha, s, beta)
                     while ded:
-                        a, c = divmod(ded.pop(), W)
-                        b = rows[a][c]
-                        if b != -1 and parent[a] == a:
+                        a, c = divmod(e := ded.pop(), W)
+                        if (b := cells[e]) != -1 and not dead[a]:
                             scan_edge(a, c, b)
                 else:
                     i += 1
             alpha += 1
         if exceeded:
             break
-        # coincidences can transiently erase slots in rows already passed;
-        # rescan until a full pass finds every live row complete
-        restart = next((x for x in range(len(rows)) if parent[x] == x
-                        and -1 in rows[x]), None)
+        # coincidences can transiently erase cells of cosets already passed;
+        # rescan until a full pass finds every live coset complete
+        restart = next((x for x in range(len(dead)) if not dead[x]
+                        and -1 in cells[x * W : x * W + W]), None)
         if restart is None:
             break
 
-    # compress live rows in place, keeping their relative order (0 stays 0)
-    high_water = len(parent)
-    live = [x for x in range(high_water) if parent[x] == x]
-    if len(live) < high_water:
-        renum = [-1] * (high_water + 1)  # renum[-1] keeps empty slots empty
+    high_water = len(dead)
+    if fwd:  # compress live cosets in place, keeping their order (0 stays 0)
+        live = array("i", (x for x in range(high_water) if not dead[x]))
+        renum = array("i", [-1]) * (high_water + 1)  # renum[-1] keeps -1 cells
         for new, old in enumerate(live):
             renum[old] = new
         for new, old in enumerate(live):
-            rows[new] = array("i", map(renum.__getitem__, rows[old]))
-        del rows[len(live) :]
+            row = cells[old * W : old * W + W]
+            cells[new * W : new * W + W] = array("i", map(renum.__getitem__, row))
+        del cells[len(live) * W :]
     return CosetTable(
         presentation=P,
         state=LIMIT_EXCEEDED if exceeded else CLOSED,
-        coset_count=len(live),
+        coset_count=high_water - len(fwd),
         high_water=high_water,
         limit=limit,
-        rows=rows,
+        cells=cells,
         width=W,
         inverse_column=IC,
     )

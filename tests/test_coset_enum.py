@@ -4,15 +4,17 @@ import functools
 import hashlib
 import math
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcolim import build
+from nilcolim import build, coset_enum
 from nilcolim.coset_enum import (
     LIMIT_EXCEEDED,
     TableNotClosedError,
+    _gather,
     todd_coxeter,
     trace_word,
 )
@@ -40,13 +42,13 @@ def _assert_closed_action(t, relators):
     """Every column permutes the cosets, column ``inverse_column[c]`` undoes
     column c (and the map is an involution), and every relator fixes every
     coset."""
-    n, W, IC, rows = t.coset_count, t.width, t.inverse_column, t.rows
-    assert t.closed and len(rows) == n and all(len(row) == W for row in rows)
+    n, W, IC, cells = t.coset_count, t.width, t.inverse_column, t.cells
+    assert t.closed and len(cells) == n * W
     assert all(IC[IC[c]] == c for c in range(W))
     for c in range(W):
-        col = [row[c] for row in rows]
+        col = cells[c::W]
         assert sorted(col) == list(range(n))  # each column is a permutation
-        assert all(rows[y][IC[c]] == x for x, y in enumerate(col))
+        assert all(cells[y * W + IC[c]] == x for x, y in enumerate(col))
     for w in relators:
         assert all(t.trace(w, x) == x for x in range(n))
 
@@ -54,11 +56,11 @@ def _assert_closed_action(t, relators):
 def _assert_paired(t):
     """Every filled cell x.c = y has y.IC[c] = x, in a partial table too: the
     scan's gather skips a form whose two cells are equal on this ground."""
-    IC = t.inverse_column
-    assert len(t.rows) == t.coset_count
-    for x, row in enumerate(t.rows):
-        assert len(row) == t.width
-        assert all(t.rows[y][IC[c]] == x for c, y in enumerate(row) if y != -1)
+    W, IC, cells = t.width, t.inverse_column, t.cells
+    assert len(cells) == t.coset_count * W
+    for e, y in enumerate(cells):
+        x, c = divmod(e, W)
+        assert y == -1 or cells[y * W + IC[c]] == x
 
 
 # -- classic presentations (exercise coincidences and generic scans) -----------
@@ -152,9 +154,9 @@ def test_partial_tables_are_paired(run):
 
 
 def test_table_memory_per_cell():
-    """Peak Python allocation of a wide table grown to its limit: a row is
-    one array('i') of 4-byte cells (8-byte pointers plus boxed ints in a
-    list would take over 9 bytes a cell)."""
+    """Peak Python allocation of a wide table grown to its limit: the table
+    is one flat array('i') of 4-byte cells (8-byte pointers plus boxed ints
+    in a list would take over 9 bytes a cell)."""
     P = build_presentation(build("gl:3:2"), 2)
     tracemalloc.start()
     try:
@@ -164,6 +166,22 @@ def test_table_memory_per_cell():
         tracemalloc.stop()
     assert t.state == LIMIT_EXCEEDED and t.width == 167
     assert peak <= 6 * t.high_water * t.width
+
+
+def test_table_memory_per_coset():
+    """Peak Python allocation of a narrow table (5 columns, 20 bytes of cells
+    a coset) grown to its limit: a coset costs its cells and one liveness
+    byte, with no object of its own (an array('i') row and a boxed union-find
+    parent a coset took about 170 bytes a coset)."""
+    P = build_presentation(build("sym:3"), 2)
+    tracemalloc.start()
+    try:
+        t = todd_coxeter(P, limit=100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.state == LIMIT_EXCEEDED and t.width == 5 and t.high_water == 100000
+    assert peak <= 32 * t.high_water
 
 
 # -- frozen tables: the enumeration is pinned cell for cell --------------------
@@ -197,9 +215,9 @@ FROZEN = {
 
 
 def _cells(t):
-    """Every cell of the table, row by row, as one flat list of ints.  The
-    digests hash this list, so they do not depend on how rows are stored."""
-    return [c for row in t.rows for c in row]
+    """Every cell of the table, coset by coset, as one flat list of ints.  The
+    digests hash this list, so they do not depend on how cells are stored."""
+    return list(t.cells)
 
 
 @pytest.mark.parametrize("name", list(FROZEN))
@@ -309,7 +327,7 @@ def test_determinism():
     P = build_presentation(G, 2)
     a = todd_coxeter(P)
     b = todd_coxeter(P)
-    assert (a.width, a.inverse_column, a.rows) == (b.width, b.inverse_column, b.rows)
+    assert (a.width, a.inverse_column, a.cells) == (b.width, b.inverse_column, b.cells)
     assert a.high_water == b.high_water
 
 
@@ -347,6 +365,11 @@ def test_trivial_presentation_closes_instantly():
     G = build("cyclic:1")
     t = todd_coxeter(build_presentation(G, 2))
     assert t.closed and t.coset_count == 1
+    # no generators: a table of width 0 with no cells
+    assert t.width == 0 and len(t.cells) == 0
+    _assert_paired(t)
+    _assert_closed_action(t, [])
+    assert trace_word(t, ()) == 0 and list(t.breadth_first()) == []
 
 
 def test_closed_table_is_complete_permutation_action():
@@ -384,20 +407,63 @@ def test_breadth_first_tree():
     "cyclic:4", "product:(cyclic:2),(cyclic:2)", "cyclic:6",
 ])
 def test_order_matches_sympy_coset_enumeration(spec):
+    G = build(spec)
+    P = build_presentation(G, 2)
+    t = todd_coxeter(P)
+    assert t.closed
+    assert t.coset_count == _sympy_order(P.num_generators, _every_pair_relator(G))
+
+
+def _sympy_order(ngens, relators):
+    """|<x_1..x_ngens | relators>| by sympy's own coset enumeration."""
     from sympy.combinatorics.fp_groups import FpGroup
     from sympy.combinatorics.free_groups import free_group
 
-    G = build(spec)
-    P = build_presentation(G, 2)
-    F, *x = free_group(",".join(f"x{j}" for j in P.generators))
+    F, *x = free_group(",".join(f"x{j}" for j in range(1, ngens + 1)))
     rels = []
-    for w in _every_pair_relator(G):
+    for w in relators:
         r = F.identity
         for s in w:
             r = r * (x[s - 1] if s > 0 else x[-s - 1] ** -1)
         rels.append(r)
-    t = todd_coxeter(P)
-    assert t.closed and t.coset_count == FpGroup(F, rels).order()
+    return FpGroup(F, rels).order()
+
+
+@pytest.mark.parametrize("positions", [
+    [], [4], [0, 1, 2, 5, 9], [3, 4, 8], [7, 3, 3, 8], [9, 0], [2, 2],
+])
+def test_gather_reads_any_positions(positions):
+    """A struct gather reads the sorted distinct cells of a row, adjacent runs
+    as one code; ``order`` repeats and permutes them into the asked order."""
+    cells = array("i", range(100, 130))  # three rows of width 10
+    read, order = _gather(positions)
+    assert (order is None) == (positions == sorted(set(positions)))
+    got = read(cells, 10 * cells.itemsize)
+    assert (order(got) if order else got) == tuple(cells[10 + p] for p in positions)
+
+
+@pytest.mark.parametrize("ngens,relators,shared_middle", [
+    # S3 with c = d = ab: the forms (1, 2, -3) and (1, 2, -4) start in one
+    # column and share their middle letter, so a U side reads a cell twice
+    (4, [(1, 1), (2, 2), (1, 2, -3), (1, 2, -4), (1, 2, 1, 2, 1, 2)], True),
+    # Z6 with c = ab = ba: every U side is sorted and distinct, but T sides
+    # (the third letters' inverse columns) are out of order
+    (3, [(1, 2, -3), (2, 1, -3), (1, 1, 1), (2, 2)], False),
+])
+def test_gathers_that_repeat_or_permute(monkeypatch, ngens, relators, shared_middle):
+    """Each column gathers its U side, then its T side: record both, check
+    that the presentation reaches the intended gather, and check the table."""
+    seen = []
+    real = coset_enum._gather
+    monkeypatch.setattr(coset_enum, "_gather", lambda p: seen.append(p) or real(p))
+    t = _manual(ngens, relators)
+    U, T = seen[0::2], seen[1::2]
+    assert any(len(set(u)) < len(u) for u in U) == shared_middle
+    assert all(u == sorted(u) for u in U)
+    assert any(v != sorted(set(v)) for v in T)
+    assert t.closed and t.coset_count == _sympy_order(ngens, relators)
+    _assert_paired(t)
+    _assert_closed_action(t, relators)
 
 
 def _product_spec(orders):
@@ -441,4 +507,4 @@ def test_random_presentations_close_to_an_action(presentation):
     if t.closed:
         _assert_closed_action(t, relators)
         again = _manual(k, relators, limit=2000)
-        assert (again.high_water, again.rows) == (t.high_water, t.rows)
+        assert (again.high_water, again.cells) == (t.high_water, t.cells)

@@ -216,7 +216,7 @@ def test_trivial_group_presentation():
 # -- one relator per class changes no answer -------------------------------------
 
 def _table_state(t):
-    return (t.state, t.coset_count, t.high_water, t.width, t.inverse_column, t.rows)
+    return (t.state, t.coset_count, t.high_water, t.width, t.inverse_column, t.cells)
 
 
 @pytest.mark.parametrize("spec,q", [
