@@ -25,7 +25,7 @@ from .colimit import (
 from .constructions import SpecError, build, parse_group_spec, seeded_gl_sequence_in_sym
 from .coset_enum import DEFAULT_COSET_LIMIT, todd_coxeter
 from .groups import GroupTooLargeError, InvalidTableError, conjugacy_classes
-from .presentations import PRESENTATION_MAX_ORDER, build_presentation
+from .presentations import build_presentation
 from .reports import (
     NOT_EVALUATED,
     conjecture_section,
@@ -171,7 +171,7 @@ def cmd_homology(args) -> tuple[dict, int]:
     G, gsec = _group_info(args.spec)
     res = homology(G, args.q, args.dim, args.max_simplices)
     consistent = None
-    if args.dim == 1 and args.q == 2 and G.order <= PRESENTATION_MAX_ORDER:
+    if args.dim == 1 and args.q == 2 and G.cayley_columns():
         consistent = res == presented_h1(G)
     report = make_report(
         "homology",

@@ -22,7 +22,6 @@ from .coset_enum import (
     trace_word,
 )
 from .groups import (
-    CAYLEY_MAX_ORDER,
     FiniteGroup,
     GroupTooLargeError,
     closure,
@@ -31,7 +30,6 @@ from .groups import (
     nilpotency_class,
 )
 from .presentations import (
-    PRESENTATION_MAX_ORDER,
     Word,
     build_presentation,
     commutator_word,
@@ -50,8 +48,11 @@ from .symplectic import (
 )
 
 # explicit D2 member sets are materialized for groups up to this order, where
-# the n^2 member scan reads the group's Cayley table
-D2_MEMBERS_MAX_ORDER = CAYLEY_MAX_ORDER
+# the n^2 member scan reads the group's Cayley table.  It stays below the table
+# cap: a member set holds |G| * |[G,G]| pairs (about 16 M for a perfect group
+# near 4096), and raising it would add a "d2" section to the verdict report of
+# every group of order 1025-4096.
+D2_MEMBERS_MAX_ORDER = 1 << 10
 
 MERGE_EXHAUSTIVE_MAX_SPAN = 256
 MERGE_SAMPLE_PAIRS = 512
@@ -70,10 +71,11 @@ class D2Subgroup:
 
 
 def d2(G: FiniteGroup) -> D2Subgroup:
-    """D2(G) with explicit members for groups of order <= 1024.
+    """D2(G) with explicit members for groups of order <= D2_MEMBERS_MAX_ORDER.
 
     The order is |G| * |[G,G]| in every case: for each x the second
-    coordinate ranges over the coset x^-1 [G,G].
+    coordinate ranges over the coset x^-1 [G,G].  The member cap is 1024, below
+    the Cayley-table cap, because the set holds |G| * |[G,G]| pairs.
     """
     derived = derived_subgroup(G)
     order = G.order * derived.order
@@ -684,33 +686,17 @@ def kpi1_verdict(
     else is INCONCLUSIVE with the exhausted budgets recorded.
     """
     budgets = {"search_budget": search_budget, "coset_limit": coset_limit}
-    if G.is_abelian:  # decidable from the generators alone, even when lazy
-        g_table = None
-        if G.materialized and G.order <= PRESENTATION_MAX_ORDER:
-            g_table = todd_coxeter(build_presentation(G, 2), coset_limit)
-        return KPi1Verdict(
-            "K_PI_1",
-            "abelian: the commuting classifying space is the classifying space",
-            None,
-            None,
-            None,
-            epsilon_kernel(G, g_table) if g_table is not None and g_table.closed else None,
-            g_table,
-            budgets,
-        )
-
-    search: Optional[Union[SymplecticSequence, ExhaustedNone, NotFoundWithinBudget]]
-    if seed_sequence is not None:
-        checked = check_symplectic(G, seed_sequence)
-        if not isinstance(checked, SymplecticSequence):
-            raise ValueError(f"seed sequence failed certification: {checked}")
-        search = checked
-    else:
-        try:
-            search = find_symplectic(G, 2, search_budget)
-        except GroupTooLargeError:
-            search = None
-            budgets["search_skipped"] = "group too large to enumerate candidates"
+    search: Optional[Union[SymplecticSequence, ExhaustedNone, NotFoundWithinBudget]] = None
+    if not G.is_abelian:  # decidable from the generators alone, even when lazy
+        if seed_sequence is not None:
+            search = check_symplectic(G, seed_sequence)
+            if not isinstance(search, SymplecticSequence):
+                raise ValueError(f"seed sequence failed certification: {search}")
+        else:
+            try:
+                search = find_symplectic(G, 2, search_budget)
+            except GroupTooLargeError:
+                budgets["search_skipped"] = "group too large to enumerate candidates"
 
     if isinstance(search, SymplecticSequence) and search.nontrivial:
         thm = theorem1_verify(search, coset_limit)
@@ -734,50 +720,32 @@ def kpi1_verdict(
             budgets,
         )
 
-    # no sequence: fall back to enumerating the colimit of G itself
-    g_table = None
-    kern = None
-    if G.materialized and G.order <= PRESENTATION_MAX_ORDER:
+    # abelian, or no sequence: enumerate the colimit of G itself
+    g_table = kern = None
+    if G.cayley_columns():
         g_table = todd_coxeter(build_presentation(G, 2), coset_limit)
         if g_table.closed:
             kern = epsilon_kernel(G, g_table)
-            if kern.kernel_order and kern.kernel_order > 1:
-                words = coset_words(g_table)
-                eps = epsilon_images(g_table)
-                witness = next(
-                    x for x in range(1, g_table.coset_count) if eps[x] == 0
-                )
-                cert = {
-                    "type": "torsion-kernel-element",
-                    "word": list(words[witness]),
-                    "order": coset_order(g_table, words[witness]),
-                    "kernel_order": kern.kernel_order,
-                }
-                return KPi1Verdict(
-                    "NOT_K_PI_1",
-                    "counit kernel has torsion",
-                    cert,
-                    search,
-                    None,
-                    kern,
-                    g_table,
-                    budgets,
-                )
-        else:
-            budgets["coset_limit_hit"] = g_table.high_water
-    else:
+    answer, reason, cert = "INCONCLUSIVE", "no certificate within the given budgets", None
+    if G.is_abelian:
+        answer = "K_PI_1"
+        reason = "abelian: the commuting classifying space is the classifying space"
+    elif g_table is None:
         budgets["enumeration_skipped"] = "group too large to present"
-
-    return KPi1Verdict(
-        "INCONCLUSIVE",
-        "no certificate within the given budgets",
-        None,
-        search,
-        None,
-        kern,
-        g_table,
-        budgets,
-    )
+    elif not g_table.closed:
+        budgets["coset_limit_hit"] = g_table.high_water
+    elif kern.kernel_order and kern.kernel_order > 1:
+        words = coset_words(g_table)
+        eps = epsilon_images(g_table)
+        witness = next(x for x in range(1, g_table.coset_count) if eps[x] == 0)
+        answer, reason = "NOT_K_PI_1", "counit kernel has torsion"
+        cert = {
+            "type": "torsion-kernel-element",
+            "word": list(words[witness]),
+            "order": coset_order(g_table, words[witness]),
+            "kernel_order": kern.kernel_order,
+        }
+    return KPi1Verdict(answer, reason, cert, search, None, kern, g_table, budgets)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,13 @@ Larger groups (ambient symmetric groups, big matrix groups) keep a lazy
 registry: elements get ids in discovery order and operations that would need
 the full carrier raise GroupTooLargeError instead.
 
-Materialized groups of order <= CAYLEY_MAX_ORDER multiply and invert by
+Materialized groups of order <= TABLE_MAX_ORDER multiply and invert by
 lookup in one Cayley table, built on the first ``multiply`` or ``inverse``
 (never at construction) and kept for the group's lifetime: n^2 list cells of
-8 bytes, at most 8 MB at the cap.  Centralizers are read off it by column
-gathers and cached per group.  Lazy and larger groups multiply keys.
+8 bytes, 134 MB at the cap.  These are exactly the groups that get a colimit
+presentation, which reads only the table.  Centralizers are read off it by
+column gathers and cached per group.  Lazy groups and materialized groups
+past the cap multiply keys.
 A subgroup that is the whole parent materializes as the parent itself, so
 its Cayley table and derived subgroup are built once.  Commutator subgroups
 [K, H] come from one algorithm: the normal closure of generator commutators.
@@ -31,7 +33,10 @@ from operator import eq, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 MAX_ENUMERATED_ORDER = 1 << 20
-CAYLEY_MAX_ORDER = 1 << 10  # n^2 cells of 8 bytes: at most 8 MB per group
+# Materialized groups up to this order are tabulated and presented: a table
+# holds n^2 cells of 8 bytes, 134 MB at the cap, and a presentation one coset
+# table column per element.
+TABLE_MAX_ORDER = 1 << 12
 
 
 class GroupTooLargeError(RuntimeError):
@@ -47,9 +52,10 @@ class FiniteGroup:
 
     ``mul_key``/``inv_key`` operate on backing keys (permutation tuples,
     matrix tuples, structured tuples, or raw table indices); the id layer is
-    built on top of them.  Up to CAYLEY_MAX_ORDER, a materialized group
+    built on top of them.  Up to TABLE_MAX_ORDER, a materialized group
     answers ``multiply``/``inverse`` from a Cayley table built on the first
-    such call (8 bytes per cell); an id >= order raises IndexError.
+    such call (8 bytes per cell); an id >= order raises IndexError.  Lazy
+    groups and materialized groups past the cap multiply keys.
     """
 
     def __init__(
@@ -142,7 +148,8 @@ class FiniteGroup:
         return self._register(self._inv_key(self._key_of[a]))
 
     def cayley_columns(self) -> list[list[int]]:
-        """``cols[b][a] == a*b``; empty for lazy groups and past CAYLEY_MAX_ORDER.
+        """``cols[b][a] == a*b``; empty for lazy groups and past TABLE_MAX_ORDER,
+        so a non-empty result is the test for "G can be presented".
 
         One column per generator by key multiplication, the rest by BFS over
         the Cayley graph: col(y*g)[x] = col(g)[col(y)[x]], built in place.
@@ -150,7 +157,7 @@ class FiniteGroup:
         if self._cols is not None:
             return self._cols
         n = self.order
-        if not self.materialized or n > CAYLEY_MAX_ORDER:
+        if not self.materialized or n > TABLE_MAX_ORDER:
             self._cols = ()
             return self._cols
         key_of, id_of, mul = self._key_of, self._id_of, self._mul_key
@@ -209,11 +216,14 @@ class FiniteGroup:
     @property
     def is_abelian(self) -> bool:
         if self._is_abelian is None:
-            gens = self.generators
+            # by generator keys, so no Cayley table is built; registering
+            # both products keeps a lazy group's ids as ``multiply`` would
+            keys = [self._key_of[g] for g in self.generators]
+            mul, reg = self._mul_key, self._register
             self._is_abelian = all(
-                self.multiply(a, b) == self.multiply(b, a)
-                for i, a in enumerate(gens)
-                for b in gens[i + 1 :]
+                reg(mul(a, b)) == reg(mul(b, a))
+                for i, a in enumerate(keys)
+                for b in keys[i + 1 :]
             )
         return self._is_abelian
 

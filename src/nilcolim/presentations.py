@@ -18,14 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import (
+    TABLE_MAX_ORDER,
     FiniteGroup,
     GroupTooLargeError,
     pair_generates_class_below,
 )
-
-# Building a presentation scans all ordered element pairs, and the coset
-# table carries one column per generator; this cap keeps both reasonable.
-PRESENTATION_MAX_ORDER = 4096
 
 Word = tuple[int, ...]
 
@@ -49,24 +46,28 @@ class Presentation:
 
 
 def build_presentation(G: FiniteGroup, q: int) -> Presentation:
+    """The colimit presentation, scanned over G's Cayley table: exactly the
+    groups with a table can be presented."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    if not G.materialized or G.order > PRESENTATION_MAX_ORDER:
+    cols = G.cayley_columns()  # cols[b][a] == a * b
+    if not cols:
         raise GroupTooLargeError(
             f"{G.label}: presentations are built for groups of order "
-            f"<= {PRESENTATION_MAX_ORDER}, got {G.order}"
+            f"<= {TABLE_MAX_ORDER}, got {G.order}"
         )
-    n, mul, inv = G.order, G.multiply, G.inverse
+    n = G.order
+    inv = list(map(G.inverse, range(n)))
     relators: list[Word] = []
     for g in range(1, n):
-        gi = inv(g)
+        gi, times_g = inv[g], cols[g]
         # (h, k^-1) < (g, h) when h < g, and (g^-1, k) < (g, h) when g^-1 < g
         for h in range(g, n) if g <= gi else (gi,):
-            k = mul(g, h)
+            k = cols[h][g]
             if k == 0:
                 relators.append((g, h))
-            elif q > 2 or mul(h, g) == k:
-                hi, ki = inv(h), inv(k)
+            elif q > 2 or times_g[h] == k:
+                hi, ki = inv[h], inv[k]
                 first = (g, h) <= min((h, ki), (ki, g), (hi, gi), (gi, k), (k, hi))
                 if first and (q == 2 or pair_generates_class_below(G, g, h, q)):
                     relators.append((-k, g, h))

@@ -270,7 +270,8 @@ def structure_report(seq: SymplecticSequence) -> StructureReport:
 
 def _bilinearity_exhaustive(G: FiniteGroup) -> bool:
     """[xy, z] == [x, z][y, z] for all x, y, z in G, read off G's Cayley table
-    (so order <= CAYLEY_MAX_ORDER) with z over the generators only.
+    (called for spans of order <= BILINEARITY_MAX_SPAN) with z over the
+    generators only.
 
     That is exact.  Fix z: since [xy, z] = x[y, z]x^-1 [x, z], the identity
     for all x, y says that z x z^-1 centralizes every [y, z], and x -> z x z^-1

@@ -22,13 +22,19 @@ from nilcolim import (
     nilpotency_class,
 )
 from nilcolim.groups import (
+    TABLE_MAX_ORDER,
     MapTable,
     centralizer,
     full_subgroup,
     identity_map,
     inversion_map,
 )
-from nilcolim.constructions import symmetric_group
+from nilcolim.constructions import (
+    cyclic_group,
+    extraspecial_group,
+    product_group,
+    symmetric_group,
+)
 from nilcolim.permutations import format_cycles, parse_cycles
 
 import oracles as O
@@ -459,6 +465,41 @@ def test_cayley_table_matches_keyed_arithmetic(spec):
     assert len(G.cayley_columns()) == G.order
 
 
+def test_cayley_table_rows_match_keyed_arithmetic_above_1024():
+    G = build("gl:2:7")  # order 2016, tabulated since the cap is 4096
+    rows = (0, 1, 2, 5, 77, 2015)
+    ids = G.elements()
+    assert [[G.multiply(a, b) for b in ids] for a in rows] == [
+        [_keyed_multiply(G, a, b) for b in ids] for a in rows
+    ]
+    assert [G.inverse(a) for a in ids] == [
+        G.id_of_key(G._inv_key(G.key_of(a))) for a in ids
+    ]
+    assert len(G.cayley_columns()) == G.order
+
+
+def test_is_abelian_builds_no_table():
+    big = product_group(extraspecial_group(2, 5), cyclic_group(2))
+    cyc = cyclic_group(TABLE_MAX_ORDER)
+    assert big.order == cyc.order == TABLE_MAX_ORDER
+    assert not big.is_abelian and cyc.is_abelian
+    assert big._cols is None and cyc._cols is None
+
+
+def test_is_abelian_registers_lazy_products_as_multiply_does():
+    """The lazy registry after ``is_abelian`` holds the keys that comparing
+    ``multiply(a, b)`` with ``multiply(b, a)`` over the generators registers."""
+    G, H = symmetric_group(16), symmetric_group(16)
+    assert not G.materialized and not G.is_abelian
+    gens = H.generators
+    assert not all(
+        H.multiply(a, b) == H.multiply(b, a)
+        for i, a in enumerate(gens)
+        for b in gens[i + 1 :]
+    )
+    assert G._key_of == H._key_of and len(G._key_of) > len(gens) + 1
+
+
 def test_cayley_table_is_built_on_first_use():
     G = symmetric_group(5)  # a fresh group, not the build() cache's
     assert G._cols is None
@@ -476,7 +517,8 @@ def test_out_of_range_ids_raise(spec):
         G.multiply(n, 0)
     with pytest.raises(IndexError):
         G.inverse(n)
-    # only materialized groups up to order 1024 are tabulated
+    # only materialized groups up to TABLE_MAX_ORDER (4096) are tabulated;
+    # sym:7 has order 5040 and sym:16 is lazy
     assert bool(G.cayley_columns()) == (spec == "sym:4")
 
 
@@ -498,7 +540,8 @@ def test_centralizer_is_the_commuting_set(spec):
     ("sym:4", O.perm_mult, None),
     ("quaternion", O.q8_mult, None),
     ("extraspecial:3:1", O.heisenberg_mult(3, 1), None),
-    ("gl:2:7", O.perm_mult, (0, 1, 2, 5, 77, 2015)),  # order 2016: no Cayley table
+    ("gl:2:7", O.perm_mult, (0, 1, 2, 5, 77, 2015)),  # order 2016: tabulated
+    ("sym:7", O.perm_mult, (0, 1, 2, 5, 77, 5039)),  # order 5040: keyed
 ])
 def test_centralizer_matches_the_oracle_commuting_set(spec, mult, ids):
     G = build(spec)
@@ -508,7 +551,7 @@ def test_centralizer_matches_the_oracle_commuting_set(spec, mult, ids):
         assert centralizer(G, g) == {
             h for h, kh in enumerate(keys) if mult(k, kh) == mult(kh, k)
         }
-    assert bool(G.cayley_columns()) == (ids is None)
+    assert bool(G.cayley_columns()) == (G.order <= TABLE_MAX_ORDER)
 
 
 def _sympy_group(G):

@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 
 from nilcolim import build, omega_check, presented_h1, todd_coxeter
 from nilcolim.colimit import span_map_into_ambient_colimit
-from nilcolim.constructions import (
-    extraspecial_group,
-    extraspecial_symplectic_basis,
-    quaternion_group,
-)
-from nilcolim.groups import GroupTooLargeError
+from nilcolim.constructions import extraspecial_symplectic_basis
+from nilcolim.groups import TABLE_MAX_ORDER, GroupTooLargeError
 from nilcolim.permutations import format_cycles
 from nilcolim.presentations import (
     Presentation,
@@ -97,20 +93,6 @@ def test_relator_counts_q2(spec, pairs, kept):
     )
 
 
-def test_keyed_path_keeps_the_same_relators():
-    """A group with its Cayley table withheld multiplies and inverts through
-    its keys, as groups of order 1025-4096 do; the relators stay the same."""
-    for spec, make in [("quaternion", quaternion_group),
-                       ("extraspecial:2:2", lambda: extraspecial_group(2, 2))]:
-        for q in (2, 3):
-            G = make()
-            G._cols = ()
-            P = build_presentation(G, q)
-            assert G.cayley_columns() == ()
-            _assert_one_relator_per_class(G, q, P)
-            assert P.relators == build_presentation(build(spec), q).relators
-
-
 _FACTORS = ["cyclic:2", "cyclic:3", "cyclic:4", "sym:3"]
 
 
@@ -172,10 +154,19 @@ def test_q3_relators_for_quaternion():
 
 
 def test_presentation_size_ceiling():
-    with pytest.raises(GroupTooLargeError):
-        build_presentation(build("gl:4:2"), 2)
-    with pytest.raises(GroupTooLargeError):
-        build_presentation(build("sym:16"), 2)
+    """A group is presented exactly when it has a Cayley table: materialized
+    and of order <= TABLE_MAX_ORDER, on both sides of the cap."""
+    specs = ["sym:4", "gl:2:7", "sym:7", "gl:4:2", "sym:16"]
+    tabled = [bool(build(spec).cayley_columns()) for spec in specs]
+    assert tabled == [True, True, False, False, False]
+    for spec, has_table in zip(specs, tabled):
+        G = build(spec)
+        if has_table:
+            assert G.order <= TABLE_MAX_ORDER
+            assert build_presentation(G, 2).generators == tuple(range(1, G.order))
+        else:
+            with pytest.raises(GroupTooLargeError):
+                build_presentation(G, 2)
 
 
 def test_presentation_rejects_bad_q():
