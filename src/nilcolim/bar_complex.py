@@ -9,8 +9,7 @@ produces one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .groups import FiniteGroup, centralizer, span_nilpotency_class
 from .presentations import Presentation, build_presentation
@@ -70,8 +69,7 @@ def _tuples(G: FiniteGroup, q: int, n: int, first: int) -> Iterator[tuple[int, .
     return walk(())
 
 
-@dataclass
-class ChainComplex:
+class ChainComplex(NamedTuple):
     """Normalized chains up to a dimension cap.
 
     ``bases[n]`` lists the nondegenerate n-simplices (lexicographic order);

@@ -76,6 +76,8 @@ def cmd_info(args) -> tuple[dict, int]:
 
 
 def cmd_symplectic(args) -> tuple[dict, int]:
+    if args.mode == "check" and args.seed_gl:
+        raise SpecError("--seed-gl applies to symplectic find, not check")
     G, gsec = _group_info(args.spec)
     code = 0
     if args.mode == "check":

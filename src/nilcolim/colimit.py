@@ -8,11 +8,10 @@ solves the word problem for the finite quotients exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import add
 from random import Random
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .coset_enum import (
     DEFAULT_COSET_LIMIT,
@@ -62,8 +61,7 @@ MERGE_SAMPLE_PAIRS = 512
 # D2(G): the kernel of (x, y) -> xy [G,G] inside G x G
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class D2Subgroup:
+class D2Subgroup(NamedTuple):
     parent: FiniteGroup
     order: int
     derived_order: int
@@ -225,8 +223,7 @@ def coset_order(t: CosetTable, word: Word) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     n2_order: Optional[int]
     kernel_order: Optional[int]
     kernel_is_torsion_free: Optional[bool]
@@ -281,8 +278,7 @@ def k_word(S: FiniteGroup, seq: SymplecticSequence, i: int = 1) -> Word:
 # Theorem-level checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Theorem1Report:
+class Theorem1Report(NamedTuple):
     """Outcome of comparing |N2(S)| against |D2(S)| by enumeration."""
 
     verdict: str  # "PASS" | "FAIL" | "INCONCLUSIVE"
@@ -293,10 +289,13 @@ class Theorem1Report:
     kernel: Optional[KernelReport]
     d2_members_in_parent_d2: Optional[bool]
     # working objects for follow-up checks
-    s_group: FiniteGroup = field(repr=False, default=None)
-    sequence: SymplecticSequence = field(repr=False, default=None)
-    table: Optional[CosetTable] = field(repr=False, default=None)
-    parent_d2: Optional[D2Subgroup] = field(repr=False, default=None)
+    s_group: FiniteGroup = None
+    sequence: SymplecticSequence = None
+    table: Optional[CosetTable] = None
+    parent_d2: Optional[D2Subgroup] = None
+
+    def __repr__(self):
+        return f"Theorem1Report({self.verdict}, |N2(S)|={self.n2_order}, |D2(S)|={self.d2_order})"
 
 
 def theorem1_verify(
@@ -347,8 +346,7 @@ def _d2_members_included(to_parent, d2_of_s, parent_d2) -> Optional[bool]:
     )
 
 
-@dataclass(frozen=True)
-class LemmaSuiteReport:
+class LemmaSuiteReport(NamedTuple):
     """Word-level checks of the structural relations in N2(S)."""
 
     k_values_equal: bool
@@ -505,8 +503,7 @@ def lemma_suite(
     )
 
 
-@dataclass(frozen=True)
-class SpanEmbeddingReport:
+class SpanEmbeddingReport(NamedTuple):
     """How the span's colimit sits inside a closed ambient colimit.
 
     ``sequence_generated_order`` is the order of the subgroup generated by
@@ -570,8 +567,7 @@ def span_map_into_ambient_colimit(
     )
 
 
-@dataclass(frozen=True)
-class SequenceImageReport:
+class SequenceImageReport(NamedTuple):
     is_symplectic: bool
     nontrivial: bool
     commutator_coset: Optional[int]
@@ -608,8 +604,7 @@ def sequence_image_in_n2(seq: SymplecticSequence, t: CosetTable) -> SequenceImag
     return SequenceImageReport(ok, ok and common != 0, common)
 
 
-@dataclass(frozen=True)
-class OmegaReport:
+class OmegaReport(NamedTuple):
     n: int
     well_defined: bool
     involutive: Optional[bool]  # only evaluated for n = -1
@@ -660,16 +655,18 @@ def omega_check(t: CosetTable, n: int) -> OmegaReport:
 # top-level verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass
-class KPi1Verdict:
+class KPi1Verdict(NamedTuple):
     answer: str  # "NOT_K_PI_1" | "K_PI_1" | "INCONCLUSIVE"
     reason: str
     certificate: Optional[dict]
     search: Optional[Union[SymplecticSequence, ExhaustedNone, NotFoundWithinBudget]]
     theorem1: Optional[Theorem1Report]
     kernel: Optional[KernelReport]
-    g_table: Optional[CosetTable] = field(repr=False, default=None)
-    budgets: dict = field(default_factory=dict)
+    g_table: Optional[CosetTable]
+    budgets: dict
+
+    def __repr__(self):
+        return f"KPi1Verdict({self.answer}: {self.reason})"
 
 
 def kpi1_verdict(
@@ -748,8 +745,7 @@ def kpi1_verdict(
     return KPi1Verdict(answer, reason, cert, search, None, kern, g_table, budgets)
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     q: int
     nclass: Optional[int]  # None = not nilpotent
     predicted_iso: bool

@@ -19,7 +19,7 @@ the matrix view kept for element naming.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 from .groups import (
     FiniteGroup,
     MapTable,
@@ -42,8 +42,7 @@ class SpecError(ValueError):
     """A group spec string failed to parse or validate."""
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     kind: str
     params: tuple = ()
 

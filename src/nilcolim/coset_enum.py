@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from itertools import compress, groupby
 from operator import itemgetter, ne
 from struct import Struct
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .presentations import Presentation, Word
 
@@ -44,8 +43,7 @@ class TableNotClosedError(RuntimeError):
     """A word-problem query needs a closed coset table."""
 
 
-@dataclass
-class CosetTable:
+class CosetTable(NamedTuple):
     """Result of an enumeration: live cosets renumbered 0..coset_count-1.
 
     ``cells[x * width + c]``, in one ``array('i')``, is the target coset of x
@@ -61,9 +59,12 @@ class CosetTable:
     coset_count: int
     high_water: int
     limit: int
-    cells: array = field(repr=False)
+    cells: array
     width: int
-    inverse_column: list[int] = field(repr=False)
+    inverse_column: list[int]
+
+    def __repr__(self):
+        return f"CosetTable({self.state}, {self.coset_count} cosets, high water {self.high_water})"
 
     @property
     def closed(self) -> bool:

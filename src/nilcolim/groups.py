@@ -13,9 +13,9 @@ Materialized groups of order <= TABLE_MAX_ORDER multiply and invert by
 lookup in one Cayley table, built on the first ``multiply`` or ``inverse``
 (never at construction) and kept for the group's lifetime: n^2 list cells of
 8 bytes, 134 MB at the cap.  These are exactly the groups that get a colimit
-presentation, which reads only the table.  Centralizers are read off it by
-column gathers and cached per group.  Lazy groups and materialized groups
-past the cap multiply keys.
+presentation and conjugacy classes, which read only the table.  Centralizers
+are read off it by column gathers and cached per group.  Lazy groups and
+materialized groups past the cap multiply keys.
 A subgroup that is the whole parent materializes as the parent itself, so
 its Cayley table and derived subgroup are built once.  Commutator subgroups
 [K, H] come from one algorithm: the normal closure of generator commutators.
@@ -27,10 +27,9 @@ safe to share across threads as long as ids are treated as opaque.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress
-from operator import eq, itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from operator import eq, getitem, itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 MAX_ENUMERATED_ORDER = 1 << 20
 # Materialized groups up to this order are tabulated and presented: a table
@@ -260,17 +259,14 @@ def _bfs_order(identity_key, gen_keys, mul_key, order_hint: int) -> list:
 # subgroups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Subgroup:
     """A subgroup given by its sorted member ids inside a parent group."""
 
-    parent: FiniteGroup
-    members: tuple[int, ...]
-    generators: tuple[int, ...]
-    _member_set: frozenset[int] = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_member_set", frozenset(self.members))
+    def __init__(self, parent: FiniteGroup, members: tuple[int, ...], generators: tuple[int, ...]):
+        self.parent = parent
+        self.members = members
+        self.generators = generators
+        self._member_set = frozenset(members)
 
     @property
     def order(self) -> int:
@@ -450,17 +446,25 @@ def pair_generates_class_below(G: FiniteGroup, g: int, h: int, q: int) -> bool:
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """Partition of element ids into conjugacy classes, ordered by minimum."""
-    n = len(G.elements())
-    seen = [False] * n
+    """Partition of element ids into conjugacy classes, ordered by minimum.
+
+    The class of a is {x a x^-1 : x in G}, one gather over the Cayley table:
+    x a is ``cols[a][x]`` and (x a) x^-1 is ``cols[inv[x]][x a]``.
+    """
+    cols = G.cayley_columns()
+    if not cols:
+        raise GroupTooLargeError(
+            f"{G.label}: conjugacy classes are read off the Cayley table, built "
+            f"for groups of order <= {TABLE_MAX_ORDER}, got {G.order}"
+        )
+    right_by_inverse = [cols[i] for i in G._inv]
+    seen: set[int] = set()
     out = []
-    for a in range(n):
-        if seen[a]:
-            continue
-        orbit = {G.conjugate(a, x) for x in range(n)}
-        for b in orbit:
-            seen[b] = True
-        out.append(tuple(sorted(orbit)))
+    for a in range(G.order):
+        if a not in seen:
+            orbit = set(map(getitem, right_by_inverse, cols[a]))
+            seen |= orbit
+            out.append(tuple(sorted(orbit)))
     return out
 
 
@@ -468,8 +472,7 @@ def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
 # maps between groups
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MapTable:
+class MapTable(NamedTuple):
     """A set map between groups, stored by images on element ids.
 
     ``images`` is either a dense list (materialized sources) or a callable.

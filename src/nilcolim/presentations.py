@@ -15,7 +15,7 @@ Words are sequences of signed 1-based generator indices: +j for generator j,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import (
     TABLE_MAX_ORDER,
@@ -27,8 +27,7 @@ from .groups import (
 Word = tuple[int, ...]
 
 
-@dataclass
-class Presentation:
+class Presentation(NamedTuple):
     group: FiniteGroup
     q: int
     generators: tuple[int, ...]  # element ids, identity excluded

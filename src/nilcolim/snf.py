@@ -28,12 +28,11 @@ unit entries, so the core is a small fraction of the input.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 from math import gcd
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(NamedTuple):
     """Rank and elementary divisors (> 1, each dividing the next)."""
 
     rank: int

@@ -8,10 +8,9 @@ other pairs commute; it is nontrivial when c != 1.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .groups import (
     FiniteGroup,
@@ -29,13 +28,20 @@ DEFAULT_SEARCH_BUDGET = 10 ** 6
 BILINEARITY_MAX_SPAN = 512
 
 
-@dataclass(frozen=True)
 class SymplecticSequence:
-    group: FiniteGroup
-    elements: tuple[int, ...]
-    r: int
-    c: int
-    nontrivial: bool
+    """A certified sequence; a plain class so that ``span`` can be cached."""
+
+    def __init__(
+        self, group: FiniteGroup, elements: tuple[int, ...], r: int, c: int, nontrivial: bool
+    ):
+        self.group = group
+        self.elements = elements
+        self.r = r
+        self.c = c
+        self.nontrivial = nontrivial
+
+    def __repr__(self):
+        return f"SymplecticSequence({self.group.label}, {self.elements}, c={self.c})"
 
     def names(self) -> list[str]:
         return [self.group.name(e) for e in self.elements]
@@ -57,21 +63,18 @@ class SymplecticSequence:
         return S, inner, to_parent
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # "repeated-element" | "commutator-mismatch" | "must-commute"
     positions: tuple[int, ...]  # 1-based positions in the candidate list
     detail: str
 
 
-@dataclass(frozen=True)
-class NotFoundWithinBudget:
+class NotFoundWithinBudget(NamedTuple):
     budget: int
     expanded: int
 
 
-@dataclass(frozen=True)
-class ExhaustedNone:
+class ExhaustedNone(NamedTuple):
     expanded: int
 
 
@@ -234,8 +237,7 @@ def sequence_subgroup(seq: SymplecticSequence) -> Subgroup:
     return closure(seq.group, seq.elements)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     span_order: int
     c_order: int
     derived_equals_c_span: bool

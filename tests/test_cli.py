@@ -10,6 +10,10 @@ from nilcolim.cli import main
 from nilcolim.reports import parse_report
 
 
+# modules that importing the CLI or running a command must leave unloaded
+HEAVY = ("numpy", "dataclasses", "inspect")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -118,6 +122,18 @@ def test_symplectic_find_seeded(capsys):
 
 def test_symplectic_find_lazy_without_seed_is_input_error(capsys):
     assert main(["symplectic", "find", "sym:16"]) == 1
+
+
+def test_symplectic_check_rejects_seed_gl_before_any_work(capsys, monkeypatch):
+    """--seed-gl only selects the seeded sequence of ``symplectic find``."""
+    import nilcolim.cli as cli_module
+
+    def no_build(spec):
+        raise AssertionError(f"built {spec}")
+
+    monkeypatch.setattr(cli_module, "build", no_build)
+    assert main(["symplectic", "check", "sym:16", "--seed-gl", "--ids", "1,2"]) == 1
+    assert "--seed-gl applies to symplectic find" in capsys.readouterr().err
 
 
 def test_n2_closed(capsys):
@@ -306,16 +322,18 @@ def test_text_output_mentions_key_facts(capsys):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    """Start-up cost: importing the CLI must not import numpy (about 0.1 s)."""
-    code = "import sys, nilcolim.cli; print('numpy' in sys.modules)"
+    """Start-up cost: importing the CLI must not import numpy (about 0.1 s),
+    nor ``dataclasses`` and the ``inspect`` it loads (records are NamedTuples)."""
+    code = f"import sys, nilcolim.cli; print([m for m in {HEAVY!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verdict_and_table_info_leave_numpy_unloaded(tmp_path):
-    """No command on the verdict path or the table loader imports numpy."""
+    """No command on the verdict path or the table loader imports numpy,
+    ``dataclasses`` or ``inspect``."""
     rows = [[(a + b) % 4 for b in range(4)] for a in range(4)]
     path = tmp_path / "z4.tbl"
     path.write_text("4\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
@@ -325,9 +343,9 @@ def test_verdict_and_table_info_leave_numpy_unloaded(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['verdict', 'extraspecial:2:2']),\n"
         f"             main(['info', {f'table:{path}'!r}])]\n"
-        "print(codes, 'numpy' in sys.modules)\n"
+        f"print(codes, [m for m in {HEAVY!r} if m in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0] False"
+    assert proc.stdout.strip() == "[0, 0] []"

@@ -26,9 +26,17 @@ from nilcolim.colimit import (
     theorem1_verify,
 )
 from nilcolim.coset_enum import todd_coxeter, trace_word
-from nilcolim.groups import derived_subgroup
+from nilcolim.groups import closure, derived_subgroup
 from nilcolim.presentations import build_presentation, word_for_element
-from nilcolim.symplectic import ExhaustedNone, check_symplectic
+from nilcolim.snf import SNFResult, smith_normal_form
+from nilcolim.symplectic import (
+    ExhaustedNone,
+    NotFoundWithinBudget,
+    SymplecticSequence,
+    Violation,
+    check_symplectic,
+    find_symplectic,
+)
 
 import oracles as O
 
@@ -465,3 +473,33 @@ def test_conjecture_inconclusive():
     rep = conjecture_probe(build("sym:3"), 2, coset_limit=5000)
     assert rep.verdict == "inconclusive"
     assert rep.coset_count is None
+
+
+# -- result records ----------------------------------------------------------------
+
+def test_result_records_behave_as_the_code_uses_them():
+    """Result records are NamedTuples; SymplecticSequence and Subgroup are plain
+    classes.  This pins the behaviour of theirs that callers rely on."""
+    G = build("extraspecial:2:2")
+    outcomes = {
+        SymplecticSequence: find_symplectic(G, 2),
+        ExhaustedNone: find_symplectic(build("quaternion"), 2),
+        NotFoundWithinBudget: find_symplectic(build("cyclic:4"), 2, 3),
+        Violation: check_symplectic(build("quaternion"), [1, 2, 3, 4]),
+    }
+    for kind, result in outcomes.items():
+        assert [isinstance(result, k) for k in outcomes] == [k is kind for k in outcomes]
+
+    assert smith_normal_form([{0: 2}, {1: 4}]) == SNFResult(2, (2, 4))
+    assert smith_normal_form([{0: 2}]) != SNFResult(1, ())
+
+    sub = closure(G, [1])
+    assert all(sub.contains(a) for a in sub.members)
+    assert not any(sub.contains(a) for a in range(G.order) if a not in sub.members)
+
+    seq = outcomes[SymplecticSequence]
+    assert seq.span is seq.span  # computed once, then cached
+
+    t = todd_coxeter(build_presentation(G, 2))
+    assert t.closed and t.coset_count == 64
+    assert len(repr(t)) < 200 and "array(" not in repr(t)

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import sys
 import tracemalloc
 from array import array
 
@@ -153,17 +154,35 @@ def test_partial_tables_are_paired(run):
     _assert_paired(t)
 
 
+def _traced_peak(P, limit):
+    """``todd_coxeter(P, limit)`` and the peak bytes tracemalloc saw it allocate.
+
+    tracemalloc looks up the line of every allocation.  Python 3.11 finds it
+    by walking the code object's line table, unless the code holds the line
+    array that CPython builds for code run under ``sys.settrace``; the walk
+    made these tests about 8x slower than the enumeration.  So one short
+    enumeration runs first under a no-op trace, and the measured run is
+    untraced.  The warm-up speeds up 3.13 alike and leaves 3.12 as it was.
+    """
+    previous = sys.gettrace()
+    sys.settrace(lambda *event: None)
+    try:
+        todd_coxeter(P, limit=1000)
+    finally:
+        sys.settrace(previous)
+    tracemalloc.start()
+    try:
+        t = todd_coxeter(P, limit=limit)
+        return t, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_table_memory_per_cell():
     """Peak Python allocation of a wide table grown to its limit: the table
     is one flat array('i') of 4-byte cells (8-byte pointers plus boxed ints
     in a list would take over 9 bytes a cell)."""
-    P = build_presentation(build("gl:3:2"), 2)
-    tracemalloc.start()
-    try:
-        t = todd_coxeter(P, limit=20000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    t, peak = _traced_peak(build_presentation(build("gl:3:2"), 2), limit=20000)
     assert t.state == LIMIT_EXCEEDED and t.width == 167
     assert peak <= 6 * t.high_water * t.width
 
@@ -173,13 +192,7 @@ def test_table_memory_per_coset():
     a coset) grown to its limit: a coset costs its cells and one liveness
     byte, with no object of its own (an array('i') row and a boxed union-find
     parent a coset took about 170 bytes a coset)."""
-    P = build_presentation(build("sym:3"), 2)
-    tracemalloc.start()
-    try:
-        t = todd_coxeter(P, limit=100000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    t, peak = _traced_peak(build_presentation(build("sym:3"), 2), limit=100000)
     assert t.state == LIMIT_EXCEEDED and t.width == 5 and t.high_water == 100000
     assert peak <= 32 * t.high_water
 

@@ -213,6 +213,9 @@ def test_nilpotency_class_matches_abelian():
     ("quaternion", 5),
     ("dihedral:4", 5),
     ("extraspecial:2:2", 17),
+    ("sym:6", 11),  # partitions of 6
+    ("extraspecial:3:2", 83),  # p central elements, p^(2r) - 1 classes of size p
+    ("gl:3:2", 6),  # the simple group of order 168
 ])
 def test_conjugacy_classes(spec, expected):
     G = build(spec)
@@ -220,6 +223,13 @@ def test_conjugacy_classes(spec, expected):
     assert len(classes) == expected
     assert sorted(x for cl in classes for x in cl) == list(range(G.order))
     assert len(classes) == O.conjugacy_class_count(G.multiply, 0, range(G.order))
+
+
+def test_conjugacy_classes_need_a_cayley_table():
+    sym7 = build("sym:7")  # materialized, but past the table cap
+    assert sym7.materialized and not sym7.cayley_columns()
+    with pytest.raises(GroupTooLargeError):
+        conjugacy_classes(sym7)
 
 
 def test_abelianization():
