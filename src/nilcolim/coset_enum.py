@@ -3,34 +3,35 @@
 The strategy is deduction-stack driven, with coincidences resolved through a
 union-find merge queue (Holt's presentation of the algorithm).  Each
 deduction alpha.s = beta is scanned once, from alpha, against every relator
-rotation that starts with column s.  The rotations of every relator and of
-its inverse are all present, so a rotation starting with s^-1 at beta walks
-a cycle already walked from alpha, and a second scan from beta finds
-nothing new.  Definitions fill the first empty slot of a coset, trying the
-signed generators in the order +1, -1, +2, -2, ..., so runs are
-deterministic given the presentation and limit.
+rotation (form) that starts with column s: the forms of every relator and of
+its inverse are all present, so a scan from beta would walk the same cycles.
+Definitions fill the first empty slot of a coset, trying the signed
+generators in the order +1, -1, +2, -2, ..., so runs are deterministic.
 
 As ACE does for involutions, generators a, b > 0 that are each other's only
-partner in a relator (a)(b) or (b)(a) share a column pair: a^-1 is traced in
-b's column (a's own for (a)(a)) and those relators are dropped.  That pairs
-every generator of a colimit presentation; any other generator keeps a formal
-inverse column.  What is left is overwhelmingly pair relators of length 3,
-whose cells are gathered per column with one precompiled ``struct`` read (see
-``scan_edge``); other lengths use a generic two-ended scan.  The table is one
-flat ``array('i')``, W cells a coset, so cell alpha * W + s is the edge alpha.s;
-merged cosets are flagged in a ``bytearray`` and forwarded by a dict.
+partner in a relator (a)(b) or (b)(a) share a column pair and those relators
+are dropped; any other generator keeps a formal inverse column.  Forms of
+length 3 are gathered per column with one ``struct`` read a side (see
+``scan_edge``); other lengths use a generic two-ended scan.  A colimit
+presentation at q = 2 pairs each g with g^-1, and its forms are exactly the
+words (a)(b)(ab)^-1 over commuting a, b != 1 with ab != 1, as it keeps one
+relator of each rotation-and-inversion class: they are read off the Cayley
+table, not off the relators.  The table is one flat ``array('i')``, W cells
+a coset, so cell alpha * W + s is the edge alpha.s; merged cosets are
+flagged in a ``bytearray`` and forwarded by a dict.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator, Sequence
-from itertools import compress, groupby
-from operator import itemgetter, ne
+from itertools import compress, count, groupby
+from operator import eq, itemgetter, ne
 from struct import Struct
 from typing import NamedTuple, Optional
 
-from .presentations import Presentation, Word
+from .groups import FiniteGroup
+from .presentations import ColimitPresentation, Presentation, Word
 
 DEFAULT_COSET_LIMIT = 10 ** 6
 
@@ -115,29 +116,6 @@ def trace_word(t: CosetTable, word: Word) -> int:
     return t.trace(word, 0)
 
 
-def _inverse_columns(P: Presentation) -> list[int]:
-    """The inverse-column map of P's table (see ``CosetTable``).
-
-    Generators a, b > 0 share a column pair when (a)(b) or (b)(a) is a
-    relator and each is the other's only such partner.
-    """
-    k = P.num_generators
-    partners: list[set[int]] = [set() for _ in range(k + 1)]
-    for w in P.relators:
-        if len(w) == 2 and w[0] > 0 and w[1] > 0:
-            partners[w[0]].add(w[1])
-            partners[w[1]].add(w[0])
-    IC = [-1] * k
-    for j in range(1, k + 1):
-        (p,) = partners[j] if len(partners[j]) == 1 else (0,)
-        if p and partners[p] == {j}:
-            IC[j - 1] = p - 1
-        else:
-            IC[j - 1] = len(IC)
-            IC.append(j - 1)
-    return IC
-
-
 def _gather(positions: list[int]):
     """``(read, order)``: ``read(cells, byte offset of a row)`` unpacks the row's
     distinct ``positions`` in sorted order, a run of adjacent cells as one ``Ni``
@@ -149,24 +127,33 @@ def _gather(positions: list[int]):
         fmt.append(f"{(run[0] - end) * _CELL}x{len(run)}i")
         end = run[-1] + 1
     at = {p: i for i, p in enumerate(distinct)}.__getitem__
-    order = itemgetter(*map(at, positions)) if distinct != positions else None
+    order = itemgetter(*map(at, positions)) if distinct != list(positions) else None
     return Struct("".join(fmt)).unpack_from, order
 
 
-def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTable:
-    if limit < 1:
-        raise ValueError(f"coset limit must be >= 1, got {limit}")
+def _relator_forms(P: Presentation):
+    """``(IC, U, T, other)``: the inverse-column map (see ``CosetTable``) and,
+    per first column s, the sorted forms (s, u, v) of the relators left after
+    pairing generators a, b > 0 that are each other's only partner in a relator
+    (a)(b) or (b)(a): U[s] = [u, ...], T[s] = [IC[v], ...], other lengths as words."""
     k = P.num_generators
     letters = set(range(-k, k + 1)) - {0}
+    partners: list[set[int]] = [set() for _ in range(k + 1)]
     for w in P.relators:
         if not letters.issuperset(w):
             raise ValueError(f"relator {w} has a letter outside +-1..{k}")
-    IC = _inverse_columns(P)
+        if len(w) == 2 and w[0] > 0 and w[1] > 0:
+            partners[w[0]].add(w[1])
+            partners[w[1]].add(w[0])
+    IC = [-1] * k
+    for j in range(1, k + 1):
+        (p,) = partners[j] if len(partners[j]) == 1 else (0,)
+        if p and partners[p] == {j}:
+            IC[j - 1] = p - 1
+        else:
+            IC[j - 1] = len(IC)
+            IC.append(j - 1)
     W = len(IC)
-    # columns in definition order: those of +1, -1, +2, -2, ...
-    order = list(dict.fromkeys(c for j in range(k) for c in (j, IC[j])))
-
-    # rotation forms of each relator the pairing leaves and of its inverse
     col_of = [0, *range(k), *IC[k - 1 :: -1]]  # letter +-j at index +-j
     forms: set[tuple[int, ...]] = set()
     for w in P.relators:
@@ -177,19 +164,43 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
         for word in (cols, inv):
             for shift in range(len(word)):
                 forms.add(word[shift:] + word[:shift])
-    # per first column s: the forms (s, u, v) of length 3 as gathers over
-    # beta's cells at u and over alpha's at IC[v]; other lengths as words
-    U: list[list[int]] = [[] for _ in range(W)]
-    T: list[list[int]] = [[] for _ in range(W)]
-    rot_other: list[list[tuple[int, ...]]] = [[] for _ in range(W)]
+    U, T, other = ([[] for _ in range(W)] for _ in range(3))
     for f in sorted(forms):
         if len(f) == 3:
             U[f[0]].append(f[1])
             T[f[0]].append(IC[f[2]])
         else:
-            rot_other[f[0]].append(f)
-    del forms
-    plan = [(*_gather(u), *_gather(t), u, t, r) for u, t, r in zip(U, T, rot_other)]
+            other[f[0]].append(f)
+    return IC, U, T, other
+
+
+def _table_forms(G: FiniteGroup):
+    """``_relator_forms`` of G's colimit presentation at q = 2, off G's table.
+    Id b heads column b - 1, paired with b^-1's, and the other forms are the
+    words abc = 1 over commuting non-identity a, b, c: at column a - 1, U holds
+    b - 1 and T holds ab - 1 for b in C(a) less 1 and a^-1, in increasing b."""
+    cols, n = G.cayley_columns(), G.order  # cols[b][a] == a * b
+    col = range(-1, n - 1)  # col[b] == b - 1
+    U, T = [], []
+    for a in range(1, n):
+        row = list(map(itemgetter(a), cols))  # row[b] == a * b
+        keep = list(map(eq, row, cols[a]))  # b in C(a)
+        keep[0] = keep[G._inv[a]] = False
+        U.append(array("i", compress(col, keep)))
+        T.append(array("i", map(col.__getitem__, compress(row, keep))))
+    return list(map(col.__getitem__, G._inv[1:])), U, T, [()] * (n - 1)
+
+
+def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTable:
+    if limit < 1:
+        raise ValueError(f"coset limit must be >= 1, got {limit}")
+    table = isinstance(P, ColimitPresentation) and P.q == 2
+    IC, U, T, other = _table_forms(P.group) if table else _relator_forms(P)
+    W = len(IC)
+    # columns in definition order: those of +1, -1, +2, -2, ...
+    order = list(dict.fromkeys(c for j in range(P.num_generators) for c in (j, IC[j])))
+    # per first column s: its length-3 forms as struct gathers, the rest as words
+    plan = [(*_gather(u), *_gather(t), u, t, r) for u, t, r in zip(U, T, other)]
 
     WB = W * _CELL  # bytes a coset
     blank = array("i", [-1]) * W
@@ -328,10 +339,12 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
     exceeded = False
     restart = 0
     while not exceeded:
-        alpha = restart
-        while alpha < len(dead) and not exceeded:
+        # for, not while: CPython 3.11 specializes code that runs once only
+        # after a few unconditional jumps back, and while loops jump on a test
+        for alpha in count(restart):
+            if alpha >= len(dead) or exceeded:
+                break
             if dead[alpha]:
-                alpha += 1
                 continue
             aW = alpha * W
             i = 0
@@ -355,7 +368,6 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
                             scan_edge(a, c, b)
                 else:
                     i += 1
-            alpha += 1
         if exceeded:
             break
         # coincidences can transiently erase cells of cosets already passed;

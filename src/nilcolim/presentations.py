@@ -39,9 +39,15 @@ class Presentation(NamedTuple):
 
     def __repr__(self):
         return (
-            f"Presentation({self.group.label}, q={self.q}, "
+            f"Presentation({getattr(self.group, 'label', None)}, q={self.q}, "
             f"{self.num_generators} generators, {len(self.relators)} relators)"
         )
+
+
+class ColimitPresentation(Presentation):
+    """``build_presentation``'s result: at q = 2 its forms are read off G's table."""
+
+    __slots__ = ()
 
 
 def build_presentation(G: FiniteGroup, q: int) -> Presentation:
@@ -70,15 +76,13 @@ def build_presentation(G: FiniteGroup, q: int) -> Presentation:
                 first = (g, h) <= min((h, ki), (ki, g), (hi, gi), (gi, k), (k, hi))
                 if first and (q == 2 or pair_generates_class_below(G, g, h, q)):
                     relators.append((-k, g, h))
-    return Presentation(G, q, tuple(range(1, n)), relators)
+    return ColimitPresentation(G, q, tuple(range(1, n)), relators)
 
 
 def presentation_dumps(P: Presentation) -> str:
     """Dump format: line 1 ``gens k``, then one relator per line as
     space-separated signed 1-based generator indices."""
-    lines = [f"gens {P.num_generators}"]
-    for w in P.relators:
-        lines.append(" ".join(str(x) for x in w))
+    lines = [f"gens {P.num_generators}", *(" ".join(map(str, w)) for w in P.relators)]
     return "\n".join(lines) + "\n"
 
 
@@ -101,9 +105,7 @@ def concat_words(*ws: Word) -> Word:
 
 
 def power_word(w: Word, n: int) -> Word:
-    if n < 0:
-        return power_word(inverse_word(w), -n)
-    return w * n
+    return inverse_word(w) * -n if n < 0 else w * n
 
 
 def commutator_word(a: Word, b: Word) -> Word:

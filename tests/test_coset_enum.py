@@ -6,9 +6,10 @@ import math
 import sys
 import tracemalloc
 from array import array
+from collections.abc import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nilcolim import build, coset_enum
@@ -19,6 +20,7 @@ from nilcolim.coset_enum import (
     todd_coxeter,
     trace_word,
 )
+from nilcolim.permutations import format_cycles
 from nilcolim.presentations import Presentation, build_presentation
 
 import oracles as O
@@ -243,6 +245,96 @@ def test_frozen_table(name):
     assert hashlib.sha256(frozen.encode()).hexdigest() == digest
 
 
+# -- colimit forms read off the Cayley table -----------------------------------
+
+def _assert_forms_agree(P):
+    """The forms ``todd_coxeter`` reads off the Cayley table of a colimit
+    presentation are the ones its relators give, column for column and in
+    the same order, and every form has length 3."""
+    IC, U, T, other = coset_enum._table_forms(P.group)
+    rIC, rU, rT, rother = coset_enum._relator_forms(P)
+    assert IC == rIC and len(IC) == P.num_generators
+    assert all(isinstance(f, array) for f in U + T)
+    assert [list(u) for u in U] == rU and [list(t) for t in T] == rT
+    assert not any(other) and not any(rother)
+
+
+@pytest.mark.parametrize("spec", [
+    "sym:3", "sym:4", "quaternion", "dihedral:8", "extraspecial:2:2", "gl:3:2",
+    "extraspecial:3:2",
+])
+def test_table_forms_are_the_relator_forms(spec):
+    _assert_forms_agree(build_presentation(build(spec), 2))
+
+
+_FACTORS = ["cyclic:2", "cyclic:3", "cyclic:4", "sym:3", "quaternion", "dihedral:4"]
+
+
+@st.composite
+def _colimit_specs(draw):
+    """product: and perm: specs; the test keeps those of order at most 64."""
+    if draw(st.booleans()):
+        left, right = draw(st.sampled_from(_FACTORS)), draw(st.sampled_from(_FACTORS))
+        return f"product:({left}),({right})"
+    degree = draw(st.integers(2, 5))
+    perms = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return "perm:" + ";".join(format_cycles(p) for p in perms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_colimit_specs())
+def test_table_forms_are_the_relator_forms_property(spec):
+    G = build(spec)
+    assume(G.order <= 64)
+    _assert_forms_agree(build_presentation(G, 2))
+
+
+class _Unreadable(Sequence):
+    """A relator list of a given length that fails the test when read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        raise AssertionError("the enumerator read the relators")
+
+
+def test_colimit_enumeration_reads_no_relators():
+    """At q = 2 a presentation from ``build_presentation`` is enumerated from
+    its group's Cayley table: with its relators made unreadable it still
+    closes to the frozen table, and setting up the enumeration stays small
+    (the relator forms of extraspecial:3:2 peaked at 2.38 MB)."""
+    P = build_presentation(build("extraspecial:3:2"), 2)
+    P = P._replace(relators=_Unreadable(len(P.relators)))
+    t = todd_coxeter(P)
+    frozen = repr((t.state, t.coset_count, t.high_water, t.inverse_column, _cells(t)))
+    assert hashlib.sha256(frozen.encode()).hexdigest() == FROZEN["extraspecial:3:2 q=2"][1]
+    tracemalloc.start()
+    try:
+        todd_coxeter(P, limit=1)
+        assert tracemalloc.get_traced_memory()[1] <= 1.5 * 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_hand_built_presentations_with_a_group_use_their_relators(q):
+    """Only ``build_presentation`` marks a presentation as the colimit: one
+    built by hand over the same group is read relator by relator, and q >= 3
+    colimit presentations are too."""
+    G = build("sym:3")
+    P = build_presentation(G, q)
+    hand = Presentation(G, q, P.generators, _Unreadable(len(P.relators)))
+    with pytest.raises(AssertionError, match="read the relators"):
+        todd_coxeter(hand)
+    if q > 2:
+        with pytest.raises(AssertionError, match="read the relators"):
+            todd_coxeter(P._replace(relators=_Unreadable(len(P.relators))))
+
+
 @pytest.mark.parametrize("ngens,relators,repeats", [
     # A4 = <a, b | a^2, b^3, (ab)^3>: (ab)^3 again, rotated, and inverted
     (2, [(1, 1), (2, 2, 2), (1, 2, 1, 2, 1, 2)],
@@ -449,10 +541,11 @@ def test_gather_reads_any_positions(positions):
     """A struct gather reads the sorted distinct cells of a row, adjacent runs
     as one code; ``order`` repeats and permutes them into the asked order."""
     cells = array("i", range(100, 130))  # three rows of width 10
-    read, order = _gather(positions)
-    assert (order is None) == (positions == sorted(set(positions)))
-    got = read(cells, 10 * cells.itemsize)
-    assert (order(got) if order else got) == tuple(cells[10 + p] for p in positions)
+    for held in (positions, array("i", positions)):  # the table's forms are arrays
+        read, order = _gather(held)
+        assert (order is None) == (positions == sorted(set(positions)))
+        got = read(cells, 10 * cells.itemsize)
+        assert (order(got) if order else got) == tuple(cells[10 + p] for p in positions)
 
 
 @pytest.mark.parametrize("ngens,relators,shared_middle", [

@@ -40,6 +40,14 @@ def test_generator_indexing_matches_ids():
     assert P.num_generators == 4
 
 
+def test_repr_with_and_without_a_group():
+    assert repr(build_presentation(build("sym:3"), 2)) == (
+        "Presentation(sym:3, q=2, 5 generators, 6 relators)"
+    )
+    hand = Presentation(None, 2, (1, 2), [(1, 1), (2, 2), (1, 2, 1, 2)])
+    assert repr(hand) == "Presentation(None, q=2, 2 generators, 3 relators)"
+
+
 def _keyed(G):
     """G's multiplication through its keys, apart from its Cayley table."""
     return lambda a, b: G.id_of_key(G._mul_key(G.key_of(a), G.key_of(b)))
