@@ -55,7 +55,8 @@ def _tuples(G: FiniteGroup, q: int, n: int, first: int) -> Iterator[tuple[int, .
             return [g for g, c in classes.items() if c is not None and c < q]
         if not prefix:
             return ids
-        common = frozenset.intersection(*(centralizer(G, h) for h in prefix))
+        common = set(centralizer(G, prefix[0])).intersection(
+            *(centralizer(G, h) for h in prefix[1:]))
         return sorted(g for g in common if g >= first)
 
     def walk(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -49,7 +49,9 @@ from .symplectic import (
     structure_report,
 )
 
-# conjugacy classes scan all pairs; skip the count for groups past this order
+# the class count is one table gather per class, but reports have always left
+# it out past this order: raising the cap would add it to every report for
+# orders 2049-4096, such as ``info product:(extraspecial:2:5),(cyclic:2)``
 _CLASSES_MAX_ORDER = 2048
 
 _INPUT_ERRORS = (

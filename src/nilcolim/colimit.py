@@ -135,8 +135,6 @@ def d2_projection_kernel_is_derived(G: FiniteGroup, sub: D2Subgroup) -> bool:
 
 def epsilon_images(t: CosetTable) -> list[int]:
     """Element of the source group represented by each coset (BFS from 0)."""
-    if not t.closed:
-        raise TableNotClosedError("epsilon needs a closed table")
     P = t.presentation
     G = P.group
     images = [-1] * t.coset_count
@@ -156,8 +154,6 @@ def epsilon_bar_images(t: CosetTable) -> list[tuple[int, int]]:
     the assignment is independent of representative words: this is the
     machine check that the map is well defined on the enumerated quotient.
     """
-    if not t.closed:
-        raise TableNotClosedError("the pair map needs a closed table")
     P = t.presentation
     G = P.group
     pair: dict[int, tuple[int, int]] = {}  # signed generator -> (u, v)
@@ -203,8 +199,6 @@ def certified_bar_counit_isomorphism(thm: "Theorem1Report") -> bool:
 
 def coset_words(t: CosetTable) -> list[Word]:
     """A representative word for every coset (BFS from 0, shortest-first)."""
-    if not t.closed:
-        raise TableNotClosedError("representative words need a closed table")
     words: list[Optional[Word]] = [None] * t.coset_count
     words[0] = ()
     for x, s, y in t.breadth_first():

@@ -13,24 +13,25 @@ partner in a relator (a)(b) or (b)(a) share a column pair and those relators
 are dropped; any other generator keeps a formal inverse column.  Forms of
 length 3 are gathered per column with one ``struct`` read a side (see
 ``scan_edge``); other lengths use a generic two-ended scan.  A colimit
-presentation at q = 2 pairs each g with g^-1, and its forms are exactly the
-words (a)(b)(ab)^-1 over commuting a, b != 1 with ab != 1, as it keeps one
-relator of each rotation-and-inversion class: they are read off the Cayley
-table, not off the relators.  The table is one flat ``array('i')``, W cells
-a coset, so cell alpha * W + s is the edge alpha.s; merged cosets are
-flagged in a ``bytearray`` and forwarded by a dict.
+presentation pairs each g with g^-1, and its forms are exactly the words
+(a)(b)(ab)^-1 over a, b != 1 with ab != 1 and b in ``partners(G, a, q)``, as
+it keeps one relator of each rotation-and-inversion class: they are read off
+the Cayley table, not off the relators.  The table is one flat
+``array('i')``, W cells a coset, so cell alpha * W + s is the edge alpha.s;
+merged cosets are flagged in a ``bytearray`` and forwarded by a dict.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from itertools import compress, count, groupby
-from operator import eq, itemgetter, ne
+from operator import itemgetter, ne
 from struct import Struct
 from typing import NamedTuple, Optional
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, partners
 from .presentations import ColimitPresentation, Presentation, Word
 
 DEFAULT_COSET_LIMIT = 10 ** 6
@@ -174,28 +175,27 @@ def _relator_forms(P: Presentation):
     return IC, U, T, other
 
 
-def _table_forms(G: FiniteGroup):
-    """``_relator_forms`` of G's colimit presentation at q = 2, off G's table.
+def _table_forms(G: FiniteGroup, q: int):
+    """``_relator_forms`` of G's colimit presentation at q, off G's table.
     Id b heads column b - 1, paired with b^-1's, and the other forms are the
-    words abc = 1 over commuting non-identity a, b, c: at column a - 1, U holds
-    b - 1 and T holds ab - 1 for b in C(a) less 1 and a^-1, in increasing b."""
-    cols, n = G.cayley_columns(), G.order  # cols[b][a] == a * b
-    col = range(-1, n - 1)  # col[b] == b - 1
+    words abc = 1 over non-identity a, b, c with b in ``partners(G, a, q)``: at
+    column a - 1, U holds b - 1 and T holds ab - 1, in increasing b."""
+    cols, inv = G.cayley_columns(), G._inv  # cols[b][a] == a * b
     U, T = [], []
-    for a in range(1, n):
-        row = list(map(itemgetter(a), cols))  # row[b] == a * b
-        keep = list(map(eq, row, cols[a]))  # b in C(a)
-        keep[0] = keep[G._inv[a]] = False
-        U.append(array("i", compress(col, keep)))
-        T.append(array("i", map(col.__getitem__, compress(row, keep))))
-    return list(map(col.__getitem__, G._inv[1:])), U, T, [()] * (n - 1)
+    for a in range(1, G.order):
+        bs = partners(G, a, q)  # 1 first
+        i = bisect_left(bs, inv[a])
+        bs = bs[1:i] + bs[i + 1 :]  # less 1 and a^-1
+        U.append(array("i", [b - 1 for b in bs]))
+        T.append(array("i", [cols[b][a] - 1 for b in bs]))
+    return [b - 1 for b in inv[1:]], U, T, [()] * (G.order - 1)
 
 
 def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTable:
     if limit < 1:
         raise ValueError(f"coset limit must be >= 1, got {limit}")
-    table = isinstance(P, ColimitPresentation) and P.q == 2
-    IC, U, T, other = _table_forms(P.group) if table else _relator_forms(P)
+    colimit = isinstance(P, ColimitPresentation)
+    IC, U, T, other = _table_forms(P.group, P.q) if colimit else _relator_forms(P)
     W = len(IC)
     # columns in definition order: those of +1, -1, +2, -2, ...
     order = list(dict.fromkeys(c for j in range(P.num_generators) for c in (j, IC[j])))

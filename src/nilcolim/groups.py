@@ -14,8 +14,9 @@ lookup in one Cayley table, built on the first ``multiply`` or ``inverse``
 (never at construction) and kept for the group's lifetime: n^2 list cells of
 8 bytes, 134 MB at the cap.  These are exactly the groups that get a colimit
 presentation and conjugacy classes, which read only the table.  Centralizers
-are read off it by column gathers and cached per group.  Lazy groups and
-materialized groups past the cap multiply keys.
+are read off it by column gathers; they and the pair gate ``partners`` are
+cached per group as ``array('i')`` rows.  Lazy groups and materialized
+groups past the cap multiply keys.
 A subgroup that is the whole parent materializes as the parent itself, so
 its Cayley table and derived subgroup are built once.  Commutator subgroups
 [K, H] come from one algorithm: the normal closure of generator commutators.
@@ -27,6 +28,7 @@ safe to share across threads as long as ids are treated as opaque.
 
 from __future__ import annotations
 
+from array import array
 from itertools import compress
 from operator import eq, getitem, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -81,7 +83,7 @@ class FiniteGroup:
         self._key_of: list = []
         self._id_of: dict = {}
         self._span_class: dict[tuple[int, ...], Optional[int]] = {}
-        self._centralizers: dict[int, frozenset[int]] = {}
+        self._partners: dict[int, dict[int, array]] = {}  # q -> a -> partners
         self._derived: Optional[Subgroup] = None
         self._is_abelian: Optional[bool] = None
         self._cols: Optional[list[list[int]]] = None  # () when keyed
@@ -382,18 +384,51 @@ def derived_subgroup(H) -> Subgroup:
     return H._derived
 
 
-def centralizer(G: FiniteGroup, g: int) -> frozenset[int]:
-    """Member ids of C_G(g), identity included, computed once per element:
-    g*x over all x is the gather ``cols[x][g]`` and x*g the column ``cols[g]``."""
-    got = G._centralizers.get(g)
+def centralizer(G: FiniteGroup, g: int) -> array:
+    """Member ids of C_G(g), ascending and identity included."""
+    return partners(G, g, 2)
+
+
+def partners(G: FiniteGroup, a: int, q: int) -> array:
+    """Ascending ids b, identity included, for which <a, b> has class < q: the
+    pairs that get a relator in N_q(G).  Computed once per (a, q) and kept as
+    an ``array('i')``.  At q = 2 that is C(a): a*b over all b is the gather
+    ``cols[b][a]`` and b*a the column ``cols[a]``.  Above it, it is C(a) plus
+    the b read off ``span_nilpotency_class``'s cache, keyed by the set
+    {a^±1, b^±1, (ab)^±1}: the six pairs of a relator class share it and span
+    one subgroup, so its class is computed once, from (a, b) alone, and only
+    when the commutator [b, a, ..., a] of weight q is trivial."""
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
+    cache = G._partners.setdefault(q, {})
+    got = cache.get(a)
     if got is None:
         ids, cols = G.elements(), G.cayley_columns()
-        if cols:
-            got = frozenset(compress(ids, map(eq, map(itemgetter(g), cols), cols[g])))
+        if q > 2:
+            got = array("i", [b for b in ids if _class_below(G, a, b, q)])
+        elif cols:
+            got = array("i", compress(ids, map(eq, map(itemgetter(a), cols), cols[a])))
         else:
-            got = frozenset(h for h in ids if G.multiply(g, h) == G.multiply(h, g))
-        G._centralizers[g] = got
+            got = array("i", [b for b in ids if G.multiply(a, b) == G.multiply(b, a)])
+        cache[a] = got
     return got
+
+
+def _class_below(G: FiniteGroup, a: int, b: int, q: int) -> bool:
+    """Whether <a, b> has class < q, for q > 2 (see ``partners``)."""
+    k, inv = G.multiply(a, b), G.inverse
+    if k == G.multiply(b, a):
+        return True
+    key = tuple(sorted({a, inv(a), b, inv(b), k, inv(k)}))
+    c = G._span_class.get(key, -1)
+    if c == -1:
+        e = b  # [b, a, ..., a] with q - 1 a's lies in gamma_q: 1 when c < q
+        for _ in range(q - 1):
+            e = commutator(G, e, a)
+        if e:
+            return False
+        c = G._span_class[key] = nilpotency_class(closure(G, (a, b)))
+    return c is not None and c < q
 
 
 def center(H) -> Subgroup:
@@ -435,14 +470,6 @@ def span_nilpotency_class(G: FiniteGroup, elements: Iterable[int]) -> Optional[i
     if key not in G._span_class:
         G._span_class[key] = nilpotency_class(closure(G, key))
     return G._span_class[key]
-
-
-def pair_generates_class_below(G: FiniteGroup, g: int, h: int, q: int) -> bool:
-    """Whether <g, h> has nilpotency class < q (the relation gate)."""
-    if q == 2:
-        return G.multiply(g, h) == G.multiply(h, g)
-    c = span_nilpotency_class(G, (g, h))
-    return c is not None and c < q
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
@@ -502,15 +529,11 @@ def is_nilq_map(phi: MapTable, q: int):
     Returns (True, None) or (False, (g, h)) with the first violating pair in
     id order.  Pairs range over the full source, identity included.
     """
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
     G, H = phi.source, phi.target
     n = len(G.elements())
     img = [phi.image_of(a) for a in range(n)]
     for g in range(n):
-        for h in range(n):
-            if not pair_generates_class_below(G, g, h, q):
-                continue
+        for h in partners(G, g, q):
             if H.multiply(img[g], img[h]) != img[G.multiply(g, h)]:
                 return False, (g, h)
     return True, None

@@ -15,14 +15,10 @@ Words are sequences of signed 1-based generator indices: +j for generator j,
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple
 
-from .groups import (
-    TABLE_MAX_ORDER,
-    FiniteGroup,
-    GroupTooLargeError,
-    pair_generates_class_below,
-)
+from .groups import TABLE_MAX_ORDER, FiniteGroup, GroupTooLargeError, partners
 
 Word = tuple[int, ...]
 
@@ -45,7 +41,7 @@ class Presentation(NamedTuple):
 
 
 class ColimitPresentation(Presentation):
-    """``build_presentation``'s result: at q = 2 its forms are read off G's table."""
+    """``build_presentation``'s result: its forms are read off G's table."""
 
     __slots__ = ()
 
@@ -65,17 +61,19 @@ def build_presentation(G: FiniteGroup, q: int) -> Presentation:
     inv = list(map(G.inverse, range(n)))
     relators: list[Word] = []
     for g in range(1, n):
-        gi, times_g = inv[g], cols[g]
-        # (h, k^-1) < (g, h) when h < g, and (g^-1, k) < (g, h) when g^-1 < g
-        for h in range(g, n) if g <= gi else (gi,):
+        gi = inv[g]
+        if gi < g:  # (g^-1, k) < (g, h) for every other h
+            relators.append((g, gi))
+            continue
+        hs = partners(G, g, q)
+        # (h, k^-1) < (g, h) when h < g
+        for h in hs[bisect_left(hs, g):]:
             k = cols[h][g]
+            hi, ki = inv[h], inv[k]
             if k == 0:
                 relators.append((g, h))
-            elif q > 2 or times_g[h] == k:
-                hi, ki = inv[h], inv[k]
-                first = (g, h) <= min((h, ki), (ki, g), (hi, gi), (gi, k), (k, hi))
-                if first and (q == 2 or pair_generates_class_below(G, g, h, q)):
-                    relators.append((-k, g, h))
+            elif (g, h) <= min((h, ki), (ki, g), (hi, gi), (gi, k), (k, hi)):
+                relators.append((-k, g, h))
     return ColimitPresentation(G, q, tuple(range(1, n)), relators)
 
 

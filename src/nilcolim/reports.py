@@ -37,9 +37,7 @@ _SECTION_FIELDS = {
         "c_order", "nontrivial", "expanded", "budget", "violation", "structure",
     },
     "violation": {"kind", "positions", "detail"},
-    "structure": {
-        "span_order", "c_order", "derived_equals_c_span", "c_in_center", "bilinearity_ok",
-    },
+    "structure": set(StructureReport._fields),
     "d2": {"order", "derived_order", "antidiagonal_generates", "projection_kernel_ok"},
     "n2": {
         "q", "state", "coset_count", "high_water", "limit", "kernel_order",
@@ -48,12 +46,7 @@ _SECTION_FIELDS = {
     "theorem1": {
         "verdict", "s_order", "d2_order", "n2_order", "state", "d2_members_in_parent_d2",
     },
-    "lemmas": {
-        "k_values_equal", "k_order", "c_order", "power_identity_ok",
-        "merge_identity_ok", "merge_pairs_checked", "merge_exhaustive",
-        "adbc_law_ok", "k_central", "kernel_is_k_span", "kernel_order",
-        "seed", "all_passed",
-    },
+    "lemmas": {*LemmaSuiteReport._fields, "all_passed"},
     "homology": {"k", "q", "rank", "torsion", "description", "h1_consistent"},
     "hom_count": {"n", "q", "count", "burnside_agrees"},
     "conjecture": {
@@ -139,13 +132,7 @@ def symplectic_section(
 
 
 def structure_section(rep: StructureReport) -> dict:
-    return {
-        "span_order": rep.span_order,
-        "c_order": rep.c_order,
-        "derived_equals_c_span": rep.derived_equals_c_span,
-        "c_in_center": rep.c_in_center,
-        "bilinearity_ok": rep.bilinearity_ok,
-    }
+    return rep._asdict()
 
 
 def d2_section(order: int, derived_order: int, antidiag: Optional[bool], proj_ok: Optional[bool]) -> dict:
@@ -182,21 +169,7 @@ def theorem1_section(rep: Theorem1Report) -> dict:
 
 
 def lemmas_section(rep: LemmaSuiteReport) -> dict:
-    return {
-        "k_values_equal": rep.k_values_equal,
-        "k_order": rep.k_order,
-        "c_order": rep.c_order,
-        "power_identity_ok": rep.power_identity_ok,
-        "merge_identity_ok": rep.merge_identity_ok,
-        "merge_pairs_checked": rep.merge_pairs_checked,
-        "merge_exhaustive": rep.merge_exhaustive,
-        "adbc_law_ok": rep.adbc_law_ok,
-        "k_central": rep.k_central,
-        "kernel_is_k_span": rep.kernel_is_k_span,
-        "kernel_order": rep.kernel_order,
-        "seed": rep.seed,
-        "all_passed": rep.all_passed,
-    }
+    return {**rep._asdict(), "all_passed": rep.all_passed}
 
 
 def homology_section(k: int, q: int, res: SNFResult, h1_consistent: Optional[bool]) -> dict:

@@ -193,7 +193,7 @@ def find_symplectic(
         if len(assigned) >= 2:
             c = commutator(G, assigned[0], assigned[r])
         cents = [centralizer(G, h) for p, h in assigned.items() if p != partner]
-        allowed = sorted(frozenset.intersection(*cents)) if cents else range(n)
+        allowed = sorted(set(cents[0]).intersection(*cents[1:])) if cents else range(n)
         base = state["expanded"]  # id g is node g - #(used ids < g) of this frame
         for g in allowed:
             if g == 0 or g in used:

@@ -16,6 +16,7 @@ from nilcolim.colimit import (
     d2_antidiagonal_generation,
     d2_projection_kernel,
     d2_projection_kernel_is_derived,
+    epsilon_bar_images,
     epsilon_images,
     epsilon_kernel,
     k_word,
@@ -25,7 +26,12 @@ from nilcolim.colimit import (
     sequence_image_in_n2,
     theorem1_verify,
 )
-from nilcolim.coset_enum import todd_coxeter, trace_word
+from nilcolim.coset_enum import (
+    LIMIT_EXCEEDED,
+    TableNotClosedError,
+    todd_coxeter,
+    trace_word,
+)
 from nilcolim.groups import closure, derived_subgroup
 from nilcolim.presentations import build_presentation, word_for_element
 from nilcolim.snf import SNFResult, smith_normal_form
@@ -370,6 +376,16 @@ def test_coset_words_roundtrip(e22_bundle):
     assert words[0] == ()
     for x, w in enumerate(words):
         assert trace_word(t, w) == x
+
+
+@pytest.mark.parametrize("read", [epsilon_images, epsilon_bar_images, coset_words])
+def test_reading_a_table_that_did_not_close_raises(read):
+    """The counit, the pair map and the coset words walk the table breadth
+    first, and that walk refuses a table that hit its limit."""
+    t = todd_coxeter(build_presentation(build("sym:3"), 2), limit=50)
+    assert t.state == LIMIT_EXCEEDED
+    with pytest.raises(TableNotClosedError):
+        read(t)
 
 
 # -- verdicts ----------------------------------------------------------------------

@@ -251,7 +251,7 @@ def _assert_forms_agree(P):
     """The forms ``todd_coxeter`` reads off the Cayley table of a colimit
     presentation are the ones its relators give, column for column and in
     the same order, and every form has length 3."""
-    IC, U, T, other = coset_enum._table_forms(P.group)
+    IC, U, T, other = coset_enum._table_forms(P.group, P.q)
     rIC, rU, rT, rother = coset_enum._relator_forms(P)
     assert IC == rIC and len(IC) == P.num_generators
     assert all(isinstance(f, array) for f in U + T)
@@ -264,7 +264,9 @@ def _assert_forms_agree(P):
     "extraspecial:3:2",
 ])
 def test_table_forms_are_the_relator_forms(spec):
-    _assert_forms_agree(build_presentation(build(spec), 2))
+    G = build(spec)  # one group for every q: the classes of its pairs are cached
+    for q in (2, 3, 4):
+        _assert_forms_agree(build_presentation(G, q))
 
 
 _FACTORS = ["cyclic:2", "cyclic:3", "cyclic:4", "sym:3", "quaternion", "dihedral:4"]
@@ -286,7 +288,8 @@ def _colimit_specs(draw):
 def test_table_forms_are_the_relator_forms_property(spec):
     G = build(spec)
     assume(G.order <= 64)
-    _assert_forms_agree(build_presentation(G, 2))
+    for q in (2, 3):
+        _assert_forms_agree(build_presentation(G, q))
 
 
 class _Unreadable(Sequence):
@@ -303,15 +306,18 @@ class _Unreadable(Sequence):
 
 
 def test_colimit_enumeration_reads_no_relators():
-    """At q = 2 a presentation from ``build_presentation`` is enumerated from
-    its group's Cayley table: with its relators made unreadable it still
-    closes to the frozen table, and setting up the enumeration stays small
-    (the relator forms of extraspecial:3:2 peaked at 2.38 MB)."""
+    """A presentation from ``build_presentation`` is enumerated from its
+    group's Cayley table: with its relators made unreadable it still closes
+    to the frozen table, at q = 2 and at q = 3, and setting up the
+    enumeration stays small (the relator forms of extraspecial:3:2 peaked at
+    2.38 MB)."""
+    for spec, q in (("extraspecial:3:2", 2), ("quaternion", 3)):
+        P = build_presentation(build(spec), q)
+        P = P._replace(relators=_Unreadable(len(P.relators)))
+        t = todd_coxeter(P)
+        frozen = repr((t.state, t.coset_count, t.high_water, t.inverse_column, _cells(t)))
+        assert hashlib.sha256(frozen.encode()).hexdigest() == FROZEN[f"{spec} q={q}"][1]
     P = build_presentation(build("extraspecial:3:2"), 2)
-    P = P._replace(relators=_Unreadable(len(P.relators)))
-    t = todd_coxeter(P)
-    frozen = repr((t.state, t.coset_count, t.high_water, t.inverse_column, _cells(t)))
-    assert hashlib.sha256(frozen.encode()).hexdigest() == FROZEN["extraspecial:3:2 q=2"][1]
     tracemalloc.start()
     try:
         todd_coxeter(P, limit=1)
@@ -323,16 +329,12 @@ def test_colimit_enumeration_reads_no_relators():
 @pytest.mark.parametrize("q", [2, 3])
 def test_hand_built_presentations_with_a_group_use_their_relators(q):
     """Only ``build_presentation`` marks a presentation as the colimit: one
-    built by hand over the same group is read relator by relator, and q >= 3
-    colimit presentations are too."""
+    built by hand over the same group is read relator by relator, at every q."""
     G = build("sym:3")
     P = build_presentation(G, q)
     hand = Presentation(G, q, P.generators, _Unreadable(len(P.relators)))
     with pytest.raises(AssertionError, match="read the relators"):
         todd_coxeter(hand)
-    if q > 2:
-        with pytest.raises(AssertionError, match="read the relators"):
-            todd_coxeter(P._replace(relators=_Unreadable(len(P.relators))))
 
 
 @pytest.mark.parametrize("ngens,relators,repeats", [
