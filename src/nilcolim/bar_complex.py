@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .groups import FiniteGroup, centralizer, span_nilpotency_class
+from .groups import FiniteGroup, class_below, partners
 from .presentations import Presentation, build_presentation
 from .snf import SNFResult, smith_normal_form
 
@@ -27,9 +27,10 @@ def hom_count(G: FiniteGroup, n: int, q: int = 2) -> int:
 
     For q = 2 this is the commuting-tuple count |Hom(Z^n, G)|.  Counts and
     simplices come from one lexicographic walk (``_tuples``) rather than a
-    scan of G^n: for q = 2 each slot ranges over the common centralizer of
-    the slots before it; for q > 2 the walk reads the group's one class
-    cache.
+    scan of G^n: each slot ranges over the ids that pass ``partners`` with
+    every slot before it (for q = 2, the common centralizer); for q > 2,
+    from the third slot on, ``class_below`` then tests the whole tuple.
+    Nothing is cached beyond the ``partners`` arrays.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -50,14 +51,14 @@ def _tuples(G: FiniteGroup, q: int, n: int, first: int) -> Iterator[tuple[int, .
 
     def slot(prefix: tuple[int, ...]) -> Iterable[int]:
         """The ids that extend prefix, ascending."""
-        if q > 2:
-            classes = {g: span_nilpotency_class(G, prefix + (g,)) for g in ids}
-            return [g for g, c in classes.items() if c is not None and c < q]
         if not prefix:
             return ids
-        common = set(centralizer(G, prefix[0])).intersection(
-            *(centralizer(G, h) for h in prefix[1:]))
-        return sorted(g for g in common if g >= first)
+        common = set(partners(G, prefix[0], q)).intersection(
+            *(partners(G, h, q) for h in prefix[1:]))
+        fits = sorted(g for g in common if g >= first)
+        if q > 2 and len(prefix) > 1:  # pairs of class < q need not span one
+            return [g for g in fits if class_below(G, prefix + (g,), q)]
+        return fits
 
     def walk(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         for g in slot(prefix):

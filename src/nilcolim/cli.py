@@ -77,6 +77,14 @@ def cmd_info(args) -> tuple[dict, int]:
     return make_report("info", args.seed, group=section), 0
 
 
+def _seeded_gl(spec_text: str):
+    """``--seed-gl``: the transvection sequence seeded in a sym:k spec."""
+    spec = parse_group_spec(spec_text)
+    if spec.kind != "sym":
+        raise SpecError("--seed-gl applies to sym:k specs (k >= 16)")
+    return seeded_gl_sequence_in_sym(spec.params[0])
+
+
 def cmd_symplectic(args) -> tuple[dict, int]:
     if args.mode == "check" and args.seed_gl:
         raise SpecError("--seed-gl applies to symplectic find, not check")
@@ -89,10 +97,7 @@ def cmd_symplectic(args) -> tuple[dict, int]:
         result = check_symplectic(G, ids)
         mode = "check"
     elif args.seed_gl:
-        spec = parse_group_spec(args.spec)
-        if spec.kind != "sym":
-            raise SpecError("--seed-gl applies to sym:k specs (k >= 16)")
-        G, ids = seeded_gl_sequence_in_sym(spec.params[0])
+        G, ids = _seeded_gl(args.spec)
         result = check_symplectic(G, ids)
         mode = "seeded"
     else:
@@ -121,10 +126,7 @@ def cmd_verdict(args) -> tuple[dict, int]:
     G, gsec = _group_info(args.spec)
     seed_sequence = None
     if args.seed_gl:
-        spec = parse_group_spec(args.spec)
-        if spec.kind != "sym":
-            raise SpecError("--seed-gl applies to sym:k specs (k >= 16)")
-        G, seed_sequence = seeded_gl_sequence_in_sym(spec.params[0])
+        G, seed_sequence = _seeded_gl(args.spec)
     v = kpi1_verdict(G, args.budget, args.limit, seed_sequence)
 
     sym_sec = None

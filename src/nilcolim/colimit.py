@@ -387,7 +387,7 @@ def lemma_suite(
     r = seq.r
     els = seq.elements
     c = seq.c
-    c_order = S.element_order(c) if c != 0 else 1
+    c_order = S.element_order(c)
 
     kw = k_word(S, seq, 1)
     k_coset = trace_word(t, kw)

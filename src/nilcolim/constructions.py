@@ -46,24 +46,6 @@ class GroupSpec(NamedTuple):
     kind: str
     params: tuple = ()
 
-    def canonical(self) -> str:
-        k, p = self.kind, self.params
-        if k in ("cyclic", "dihedral", "sym", "alt"):
-            return f"{k}:{p[0]}"
-        if k == "quaternion":
-            return "quaternion"
-        if k == "extraspecial":
-            return f"extraspecial:{p[0]}:{p[1]}"
-        if k == "gl":
-            return f"gl:{p[0]}:{p[1]}"
-        if k == "product":
-            return f"product:({p[0].canonical()}),({p[1].canonical()})"
-        if k == "perm":
-            return "perm:" + ";".join(p[0])
-        if k == "table":
-            return f"table:{p[0]}"
-        raise SpecError(f"unknown spec kind {k!r}")
-
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -455,16 +437,15 @@ def perm_group_from_cycles(chunks: tuple[str, ...]) -> FiniteGroup:
     )
 
 
-_BUILD_CACHE: dict[str, FiniteGroup] = {}
+_BUILD_CACHE: dict[GroupSpec, FiniteGroup] = {}
 
 
 def build(spec) -> FiniteGroup:
     """Build (and cache) the group described by a GroupSpec or spec string."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
-    key = spec.canonical()
-    if spec.kind != "table" and key in _BUILD_CACHE:
-        return _BUILD_CACHE[key]
+    if spec.kind != "table" and spec in _BUILD_CACHE:
+        return _BUILD_CACHE[spec]
     k, prm = spec.kind, spec.params
     if k == "cyclic":
         grp = cyclic_group(prm[0])
@@ -489,7 +470,7 @@ def build(spec) -> FiniteGroup:
     else:
         raise SpecError(f"unknown spec kind {k!r}")
     if spec.kind != "table":
-        _BUILD_CACHE[key] = grp
+        _BUILD_CACHE[spec] = grp
     return grp
 
 

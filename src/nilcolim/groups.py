@@ -15,8 +15,10 @@ lookup in one Cayley table, built on the first ``multiply`` or ``inverse``
 8 bytes, 134 MB at the cap.  These are exactly the groups that get a colimit
 presentation and conjugacy classes, which read only the table.  Centralizers
 are read off it by column gathers; they and the pair gate ``partners`` are
-cached per group as ``array('i')`` rows.  Lazy groups and materialized
-groups past the cap multiply keys.
+cached per group as ``array('i')`` rows.  ``class_below`` decides whether a
+set spans a subgroup of class < q from the set's commutators alone, with no
+closure and no cache.  Lazy groups and materialized groups past the cap
+multiply keys.
 A subgroup that is the whole parent materializes as the parent itself, so
 its Cayley table and derived subgroup are built once.  Commutator subgroups
 [K, H] come from one algorithm: the normal closure of generator commutators.
@@ -82,7 +84,6 @@ class FiniteGroup:
         self._key_name = key_name or (lambda k: str(k))
         self._key_of: list = []
         self._id_of: dict = {}
-        self._span_class: dict[tuple[int, ...], Optional[int]] = {}
         self._partners: dict[int, dict[int, array]] = {}  # q -> a -> partners
         self._derived: Optional[Subgroup] = None
         self._is_abelian: Optional[bool] = None
@@ -393,11 +394,8 @@ def partners(G: FiniteGroup, a: int, q: int) -> array:
     """Ascending ids b, identity included, for which <a, b> has class < q: the
     pairs that get a relator in N_q(G).  Computed once per (a, q) and kept as
     an ``array('i')``.  At q = 2 that is C(a): a*b over all b is the gather
-    ``cols[b][a]`` and b*a the column ``cols[a]``.  Above it, it is C(a) plus
-    the b read off ``span_nilpotency_class``'s cache, keyed by the set
-    {a^±1, b^±1, (ab)^±1}: the six pairs of a relator class share it and span
-    one subgroup, so its class is computed once, from (a, b) alone, and only
-    when the commutator [b, a, ..., a] of weight q is trivial."""
+    ``cols[b][a]`` and b*a the column ``cols[a]``.  Above it, each b is tested
+    by ``class_below(G, (a, b), q)``."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     cache = G._partners.setdefault(q, {})
@@ -405,7 +403,7 @@ def partners(G: FiniteGroup, a: int, q: int) -> array:
     if got is None:
         ids, cols = G.elements(), G.cayley_columns()
         if q > 2:
-            got = array("i", [b for b in ids if _class_below(G, a, b, q)])
+            got = array("i", [b for b in ids if class_below(G, (a, b), q)])
         elif cols:
             got = array("i", compress(ids, map(eq, map(itemgetter(a), cols), cols[a])))
         else:
@@ -414,21 +412,37 @@ def partners(G: FiniteGroup, a: int, q: int) -> array:
     return got
 
 
-def _class_below(G: FiniteGroup, a: int, b: int, q: int) -> bool:
-    """Whether <a, b> has class < q, for q > 2 (see ``partners``)."""
-    k, inv = G.multiply(a, b), G.inverse
-    if k == G.multiply(b, a):
-        return True
-    key = tuple(sorted({a, inv(a), b, inv(b), k, inv(k)}))
-    c = G._span_class.get(key, -1)
-    if c == -1:
-        e = b  # [b, a, ..., a] with q - 1 a's lies in gamma_q: 1 when c < q
-        for _ in range(q - 1):
-            e = commutator(G, e, a)
-        if e:
-            return False
-        c = G._span_class[key] = nilpotency_class(closure(G, (a, b)))
-    return c is not None and c < q
+def class_below(G: FiniteGroup, elements: Iterable[int], q: int) -> bool:
+    """Whether H = <elements> has nilpotency class < q, for q >= 2, from
+    commutators of the elements alone: H is never enumerated and nothing is
+    cached.
+
+    For H = <X>, gamma_q(H) is the normal closure of the left-normed
+    commutators [x_1, ..., x_q] with every x_i in X.  They lie in gamma_q(H),
+    so they are trivial when the class is < q.  Conversely, by induction on q
+    (at q = 1 the words are X itself): if every such word of weight q is
+    trivial, each word w of weight q - 1 commutes with X, so w is central in
+    H.  In H/Z(H), generated by the image of X, every word of weight q - 1 is
+    then trivial, so gamma_{q-1}(H) <= Z(H) and gamma_q(H) = 1.
+
+    A word's value fixes the values of its extensions, so it is enough to
+    follow the value sets W_1 = X and W_{k+1} = {[c, x] != 1 : c in W_k,
+    x in X}.  As [c, x] = cx (xc)^-1 is 1 exactly when cx = xc, the class is
+    < q exactly when every value in W_{q-1} commutes with X.
+    """
+    mul, inv = G.multiply, G.inverse
+    xs = set(elements)
+    xs.discard(0)
+    values = xs
+    for _ in range(q - 2):
+        nxt = set()
+        for c in values:
+            for x in xs:
+                cx, xc = mul(c, x), mul(x, c)
+                if cx != xc:
+                    nxt.add(mul(cx, inv(xc)))
+        values = nxt
+    return all(mul(c, x) == mul(x, c) for c in values for x in xs)
 
 
 def center(H) -> Subgroup:
@@ -461,15 +475,6 @@ def nilpotency_class(H) -> Optional[int]:
     if series[-1].order != 1:
         return None
     return len(series) - 1
-
-
-def span_nilpotency_class(G: FiniteGroup, elements: Iterable[int]) -> Optional[int]:
-    """nilpotency_class(<elements>), cached per group on the element set
-    (as a sorted tuple: a third of a frozenset's size)."""
-    key = tuple(sorted(set(elements)))
-    if key not in G._span_class:
-        G._span_class[key] = nilpotency_class(closure(G, key))
-    return G._span_class[key]
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:

@@ -108,7 +108,7 @@ def symplectic_section(
             element_names=result.names(),
             c=result.c,
             c_name=G.name(result.c),
-            c_order=G.element_order(result.c) if result.c != 0 else 1,
+            c_order=G.element_order(result.c),
             nontrivial=result.nontrivial,
         )
     elif isinstance(result, Violation):

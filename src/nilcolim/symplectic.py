@@ -17,6 +17,7 @@ from .groups import (
     GroupTooLargeError,
     Subgroup,
     centralizer,
+    class_below,
     closure,
     commutator,
     derived_subgroup,
@@ -24,7 +25,8 @@ from .groups import (
 
 DEFAULT_SEARCH_BUDGET = 10 ** 6
 
-# beyond this span size the exhaustive three-variable bilinearity check is skipped
+# spans past this order report bilinearity_ok as null; the class test no
+# longer needs the bound, which stays so that reports keep their bytes
 BILINEARITY_MAX_SPAN = 512
 
 
@@ -242,7 +244,7 @@ class StructureReport(NamedTuple):
     c_order: int
     derived_equals_c_span: bool
     c_in_center: bool
-    bilinearity_ok: Optional[bool]  # None when the span is too big to scan
+    bilinearity_ok: Optional[bool]  # None past BILINEARITY_MAX_SPAN
 
     @property
     def all_passed(self) -> bool:
@@ -255,40 +257,21 @@ class StructureReport(NamedTuple):
 
 def structure_report(seq: SymplecticSequence) -> StructureReport:
     """Verify the span's commutator structure: [S,S] = <c>, centrality of c,
-    and (for spans of order <= 512) full bilinearity of the commutator."""
+    and (for spans of order <= BILINEARITY_MAX_SPAN) bilinearity of the
+    commutator, [xy, z] = [x, z][y, z] for all x, y, z.
+
+    Bilinearity is class <= 2.  Fix z: since [xy, z] = x[y, z]x^-1 [x, z],
+    the identity for all x, y says that z x z^-1 centralizes every [y, z],
+    and x -> z x z^-1 is onto, so every [y, z] is central; conversely a
+    central [G, G] makes the commutator bilinear.  So it is
+    ``class_below(S, S.generators, 3)``."""
     S, inner, _ = seq.span
     c = inner.c
-    bilinear: Optional[bool] = None
-    if S.order <= BILINEARITY_MAX_SPAN:
-        bilinear = _bilinearity_exhaustive(S)
+    small = S.order <= BILINEARITY_MAX_SPAN
     return StructureReport(
         span_order=S.order,
         c_order=S.element_order(c),
         derived_equals_c_span=derived_subgroup(S).members == closure(S, [c]).members,
         c_in_center=len(centralizer(S, c)) == S.order,
-        bilinearity_ok=bilinear,
+        bilinearity_ok=class_below(S, S.generators, 3) if small else None,
     )
-
-
-def _bilinearity_exhaustive(G: FiniteGroup) -> bool:
-    """[xy, z] == [x, z][y, z] for all x, y, z in G, read off G's Cayley table
-    (called for spans of order <= BILINEARITY_MAX_SPAN) with z over the
-    generators only.
-
-    That is exact.  Fix z: since [xy, z] = x[y, z]x^-1 [x, z], the identity
-    for all x, y says that z x z^-1 centralizes every [y, z], and x -> z x z^-1
-    is onto, so every [y, z] is central.  If that holds for z1 and z2, then
-    [y, z1 z2] = [y, z1] z1[y, z2]z1^-1 is central too; every element of the
-    finite group G is a product of generators, so every commutator is central
-    and G has class <= 2.  Class <= 2 gives bilinearity in every z.
-    """
-    cols = G.cayley_columns()  # cols[b][a] == a * b
-    inv = [G.inverse(a) for a in G.elements()]
-    for z in G.generators:
-        # cz[x] = [x, z] = (x z)(x^-1 z^-1); then [xy, z] against [x, z][y, z]
-        right = map(cols.__getitem__, map(cols[inv[z]].__getitem__, inv))
-        cz = list(map(list.__getitem__, right, cols[z]))
-        if any(list(map(cz.__getitem__, col)) != list(map(cols[cz[y]].__getitem__, cz))
-               for y, col in enumerate(cols)):
-            return False
-    return True

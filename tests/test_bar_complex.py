@@ -1,13 +1,16 @@
 """Commuting-tuple skeleton: counts, boundary matrices, homology."""
 
 import itertools
+import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from nilcolim import build, conjugacy_classes
+from nilcolim import build, closure, conjugacy_classes
 from nilcolim.bar_complex import (
     BudgetExceededError,
+    _tuples,
     abelianized_relator_matrix,
     build_complex,
     h1_consistency,
@@ -16,6 +19,8 @@ from nilcolim.bar_complex import (
     presented_h1,
     verify_complex,
 )
+from nilcolim.constructions import elementary_matrix, extraspecial_group
+from nilcolim.groups import partners
 from nilcolim.presentations import build_presentation
 from nilcolim.snf import SNFResult
 import oracles as O
@@ -72,6 +77,39 @@ def test_hom_count_higher_q():
     assert hom_count(s3, 2, q=3) == hom_count(s3, 2, q=2)
     d8 = build("dihedral:8")  # order 16 and class 3: q = 2, 3, 4 all differ
     assert [hom_count(d8, 2, q) for q in (2, 3, 4)] == [112, 160, 256]
+
+
+def test_walk_tests_whole_tuples_past_the_pair_gate():
+    """Class < q on every pair does not give class < q on the tuple: in
+    UT(4, 2), spanned by the transvections E_12, E_23, E_34, those three span
+    pairs of class <= 2 and together class 3.  At q = 3 the walk keeps the
+    triples that pass the pair gate and span class < 3, checked by the oracle
+    on samples of the triples kept and of those dropped."""
+    gl = build("gl:4:2")
+    U = closure(gl, [elementary_matrix(4, 2, i, i + 1) for i in (1, 2, 3)]).as_group()[0]
+    gate = [set(partners(U, a, 3)) for a in U.elements()]
+    paired = {(a, b, c) for a in U.elements() for b in gate[a] for c in gate[a] & gate[b]}
+    walk = set(_tuples(U, 3, 3, 0))
+    assert walk < paired and tuple(U.generators) in paired - walk
+    rng = random.Random(3)
+    for kept, triples in ((True, walk), (False, paired - walk)):
+        for t in rng.sample(sorted(triples), 60):
+            span = O.fixpoint_closure(U.multiply, 0, t)
+            assert (O.nilpotency_class_of(U.multiply, 0, span) < 3) == kept
+
+
+def test_hom_count_keeps_no_per_tuple_cache():
+    """Above q = 2 the walk tests each tuple by its commutators, so all it
+    keeps is the pair gate's arrays: a few KB, not an entry per tuple."""
+    G = extraspecial_group(2, 2)  # not ``build``'s cached group: no partners yet
+    G.cayley_columns()
+    tracemalloc.start()
+    try:
+        count = hom_count(G, 3, 3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert count == 32 ** 3 and held <= 200_000  # class 2: every triple
 
 
 def test_hom_count_edge_cases():

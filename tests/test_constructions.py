@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from nilcolim import build, center, closure, commutator, derived_subgroup, parse_group_spec
+from nilcolim import (
+    GroupSpec,
+    build,
+    center,
+    closure,
+    commutator,
+    derived_subgroup,
+    parse_group_spec,
+)
 from nilcolim.constructions import (
     SpecError,
     elementary_matrix,
@@ -45,13 +53,6 @@ def test_build_orders(text, order):
     assert build(text).order == order
 
 
-def test_spec_canonical_roundtrip():
-    for text in ["cyclic:7", "product:(sym:3),(cyclic:2)", "perm:(1 2);(3 4)",
-                 "extraspecial:5:1", "gl:3:2"]:
-        spec = parse_group_spec(text)
-        assert parse_group_spec(spec.canonical()) == spec
-
-
 @pytest.mark.parametrize("bad", [
     "cyclic:0",
     "alt:2",
@@ -72,6 +73,9 @@ def test_bad_specs_rejected(bad):
 def test_build_caches_instances():
     assert build("quaternion") is build("quaternion")
     assert build("gl:4:2") is build("gl:4:2")
+    # keyed by the parsed spec, so a string and its GroupSpec share one entry
+    assert build(" product:(sym:3),(cyclic:2)") is build(
+        GroupSpec("product", (GroupSpec("sym", (3,)), GroupSpec("cyclic", (2,)))))
 
 
 # -- cyclic / dihedral / product ------------------------------------------------

@@ -26,6 +26,7 @@ from nilcolim.groups import (
     TABLE_MAX_ORDER,
     MapTable,
     centralizer,
+    class_below,
     full_subgroup,
     identity_map,
     inversion_map,
@@ -344,6 +345,7 @@ def test_element_order_and_power():
     names = {q8.name(a): a for a in range(8)}
     assert q8.element_order(names["i"]) == 4
     assert q8.element_order(names["-1"]) == 2
+    assert q8.element_order(q8.identity) == 1
     assert q8.power(names["i"], 2) == names["-1"]
     assert q8.power(names["i"], -1) == names["-i"]
     assert q8.power(names["i"], 0) == 0
@@ -598,6 +600,32 @@ def test_partners_are_the_pairs_spanning_class_below_q(spec):
             assert list(partners(G, a, q)) == [
                 b for b, c in enumerate(spans[a]) if c is not None and c < q
             ]
+
+
+@st.composite
+def _class_specs(draw):
+    """product: and perm: specs; those of order <= 64 have class up to 4
+    (dihedral:16 x cyclic:2) or none."""
+    if draw(st.booleans()):
+        return draw(_perm_specs())
+    factors = _FACTORS + ["dihedral:8", "dihedral:16"]
+    left, right = draw(st.sampled_from(factors)), draw(st.sampled_from(factors))
+    return f"product:({left}),({right})"
+
+
+@settings(max_examples=40, deadline=None)
+@given(_class_specs(), st.data())
+def test_class_below_matches_the_class_of_the_closure(spec, data):
+    """``class_below`` reads the class off generator commutators; the oracle
+    closes the set and takes its lower central series."""
+    G = build(spec)
+    assume(G.order <= 64)
+    ids = st.integers(0, G.order - 1)
+    for xs in (data.draw(st.lists(ids, min_size=1, max_size=3)), G.generators):
+        span = O.fixpoint_closure(G.multiply, 0, set(xs))
+        c = O.nilpotency_class_of(G.multiply, 0, span)
+        for q in (2, 3, 4, 5):
+            assert class_below(G, xs, q) == (c is not None and c < q), (xs, q, c)
 
 
 def _sympy_group(G):

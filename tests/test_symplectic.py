@@ -13,14 +13,13 @@ from nilcolim.constructions import (
     gl_symplectic_sequence,
     seeded_gl_sequence_in_sym,
 )
-from nilcolim.groups import GroupTooLargeError
+from nilcolim.groups import GroupTooLargeError, class_below
 from nilcolim.permutations import parse_cycles
 from nilcolim.symplectic import (
     ExhaustedNone,
     NotFoundWithinBudget,
     SymplecticSequence,
     Violation,
-    _bilinearity_exhaustive,
     canonical_form,
     check_symplectic,
     find_symplectic,
@@ -211,16 +210,27 @@ def test_structure_report_gl():
     "product:(quaternion),(dihedral:8)",
 ])
 def test_bilinearity_is_class_at_most_two(spec):
-    # [xy, z] = [x, z][y, z] for all x, y, z exactly when [G, G] is central
+    # [xy, z] = [x, z][y, z] for all x, y, z exactly when [G, G] is central;
+    # structure_report reads bilinearity as class_below(S, S.generators, 3)
     G = build(spec)
-    assert _bilinearity_exhaustive(G) == (nilpotency_class(G) in (1, 2))
+    bilinear = class_below(G, G.generators, 3)
+    assert bilinear == (nilpotency_class(G) in (1, 2))
+    if G.order <= 16:
+        ids = G.elements()
+        assert bilinear == all(
+            commutator(G, G.multiply(x, y), z)
+            == G.multiply(commutator(G, x, z), commutator(G, y, z))
+            for x in ids for y in ids for z in ids
+        )
 
 
 def test_bilinearity_inside_a_lazy_parent():
     sym16, ids = seeded_gl_sequence_in_sym(16)
-    assert _bilinearity_exhaustive(closure(sym16, ids).as_group()[0])
+    S = closure(sym16, ids).as_group()[0]
+    assert class_below(S, S.generators, 3)
     s3 = closure(sym16, [sym16.id_of_key(parse_cycles(c, 16)) for c in ("(1 2)", "(1 2 3)")])
-    assert s3.order == 6 and not _bilinearity_exhaustive(s3.as_group()[0])
+    S3 = s3.as_group()[0]
+    assert s3.order == 6 and not class_below(S3, S3.generators, 3)
 
 
 def test_find_soundness_randomized_groups():
