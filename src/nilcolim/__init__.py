@@ -4,128 +4,55 @@ The package certifies, at desk scale, the algebra behind commuting
 classifying spaces: colimits of abelian subgroups via coset enumeration,
 symplectic sequences and the subgroups they span, the kernel-of-multiplication
 subgroup of G x G, and integral homology of the commuting-tuple complex.
+
+The names below are resolved on first access (PEP 562), so ``import
+nilcolim`` loads no submodule, and a name loads only its home module and
+what that imports.
 """
 
-from .groups import (
-    FiniteGroup,
-    GroupTooLargeError,
-    InvalidTableError,
-    MapTable,
-    Subgroup,
-    abelianization,
-    center,
-    closure,
-    commutator,
-    conjugacy_classes,
-    derived_subgroup,
-    is_nilq_map,
-    load_multiplication_table,
-    lower_central_series,
-    nilpotency_class,
-)
-from .constructions import (
-    GroupSpec,
-    SpecError,
-    build,
-    elementary_matrix,
-    embed_gl_in_sym,
-    extraspecial_symplectic_basis,
-    gl_symplectic_sequence,
-    parse_group_spec,
-)
-from .symplectic import (
-    ExhaustedNone,
-    NotFoundWithinBudget,
-    SymplecticSequence,
-    Violation,
-    check_symplectic,
-    find_symplectic,
-    sequence_subgroup,
-    structure_report,
-)
-from .presentations import Presentation, build_presentation, presentation_dumps
-from .coset_enum import CosetTable, TableNotClosedError, todd_coxeter, trace_word
-from .colimit import (
-    D2Subgroup,
-    KernelReport,
-    conjecture_probe,
-    d2,
-    d2_antidiagonal_generation,
-    epsilon_kernel,
-    kpi1_verdict,
-    lemma_suite,
-    omega_check,
-    sequence_image_in_n2,
-    theorem1_verify,
-)
-from .bar_complex import (
-    BudgetExceededError,
-    build_complex,
-    h1_consistency,
-    hom_count,
-    homology,
-    presented_h1,
-)
-from .snf import SNFResult, smith_normal_form
+from importlib import import_module
 
-__all__ = [
-    "BudgetExceededError",
-    "CosetTable",
-    "D2Subgroup",
-    "ExhaustedNone",
-    "FiniteGroup",
-    "GroupSpec",
-    "GroupTooLargeError",
-    "InvalidTableError",
-    "KernelReport",
-    "MapTable",
-    "NotFoundWithinBudget",
-    "Presentation",
-    "SNFResult",
-    "SpecError",
-    "Subgroup",
-    "SymplecticSequence",
-    "TableNotClosedError",
-    "Violation",
-    "abelianization",
-    "build",
-    "build_complex",
-    "build_presentation",
-    "center",
-    "check_symplectic",
-    "closure",
-    "commutator",
-    "conjecture_probe",
-    "conjugacy_classes",
-    "d2",
-    "d2_antidiagonal_generation",
-    "derived_subgroup",
-    "elementary_matrix",
-    "embed_gl_in_sym",
-    "epsilon_kernel",
-    "extraspecial_symplectic_basis",
-    "find_symplectic",
-    "gl_symplectic_sequence",
-    "h1_consistency",
-    "hom_count",
-    "homology",
-    "is_nilq_map",
-    "kpi1_verdict",
-    "lemma_suite",
-    "load_multiplication_table",
-    "lower_central_series",
-    "nilpotency_class",
-    "omega_check",
-    "parse_group_spec",
-    "presentation_dumps",
-    "presented_h1",
-    "sequence_image_in_n2",
-    "sequence_subgroup",
-    "smith_normal_form",
-    "structure_report",
-    "theorem1_verify",
-    "todd_coxeter",
-    "trace_word",
-]
+_EXPORTS = {
+    "budgets": "BudgetExceededError",
+    "groups": (
+        "FiniteGroup GroupTooLargeError InvalidTableError MapTable Subgroup"
+        " abelianization center closure commutator conjugacy_classes"
+        " derived_subgroup is_nilq_map load_multiplication_table"
+        " lower_central_series nilpotency_class"
+    ),
+    "constructions": (
+        "GroupSpec SpecError build elementary_matrix embed_gl_in_sym"
+        " extraspecial_symplectic_basis gl_symplectic_sequence parse_group_spec"
+    ),
+    "symplectic": (
+        "ExhaustedNone NotFoundWithinBudget SymplecticSequence Violation"
+        " check_symplectic find_symplectic sequence_subgroup structure_report"
+    ),
+    "presentations": "Presentation build_presentation presentation_dumps",
+    "coset_enum": "CosetTable TableNotClosedError todd_coxeter trace_word",
+    "colimit": (
+        "D2Subgroup KernelReport conjecture_probe d2 d2_antidiagonal_generation"
+        " epsilon_kernel kpi1_verdict lemma_suite omega_check"
+        " sequence_image_in_n2 theorem1_verify"
+    ),
+    "bar_complex": "build_complex h1_consistency hom_count homology presented_h1",
+    "snf": "SNFResult smith_normal_form",
+}
+# exported name -> the submodule that defines it
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,15 +11,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Optional
 
+from .budgets import DEFAULT_MAX_SIMPLICES, BudgetExceededError
 from .groups import FiniteGroup, class_below, partners
 from .presentations import Presentation, build_presentation
 from .snf import SNFResult, smith_normal_form
-
-DEFAULT_MAX_SIMPLICES = 200_000
-
-
-class BudgetExceededError(RuntimeError):
-    """A dimension's simplex count went past the configured budget."""
 
 
 def hom_count(G: FiniteGroup, n: int, q: int = 2) -> int:

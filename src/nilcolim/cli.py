@@ -11,43 +11,17 @@ import argparse
 import sys
 from typing import Optional
 
-from .bar_complex import BudgetExceededError, DEFAULT_MAX_SIMPLICES, hom_count, homology, presented_h1
-from .colimit import (
-    D2_MEMBERS_MAX_ORDER,
-    conjecture_probe,
-    d2,
-    d2_antidiagonal_generation,
-    d2_projection_kernel_is_derived,
-    epsilon_kernel,
-    kpi1_verdict,
-    lemma_suite,
+# Only the modules that the argparse defaults and _INPUT_ERRORS need are
+# imported here; each command imports the modules it runs, so that a process
+# compiles and executes only those (a checkout often has no bytecode cache).
+from .budgets import (
+    DEFAULT_COSET_LIMIT,
+    DEFAULT_MAX_SIMPLICES,
+    DEFAULT_SEARCH_BUDGET,
+    BudgetExceededError,
 )
 from .constructions import SpecError, build, parse_group_spec, seeded_gl_sequence_in_sym
-from .coset_enum import DEFAULT_COSET_LIMIT, todd_coxeter
 from .groups import GroupTooLargeError, InvalidTableError, conjugacy_classes
-from .presentations import build_presentation
-from .reports import (
-    NOT_EVALUATED,
-    conjecture_section,
-    d2_section,
-    dumps_report,
-    group_section,
-    homology_section,
-    lemmas_section,
-    make_report,
-    n2_section,
-    symplectic_section,
-    theorem1_section,
-    verdict_section,
-)
-from .symplectic import (
-    DEFAULT_SEARCH_BUDGET,
-    NotFoundWithinBudget,
-    SymplecticSequence,
-    check_symplectic,
-    find_symplectic,
-    structure_report,
-)
 
 # the class count is one table gather per class, but reports have always left
 # it out past this order: raising the cap would add it to every report for
@@ -65,6 +39,8 @@ _INPUT_ERRORS = (
 
 
 def _group_info(spec_text: str):
+    from .reports import group_section
+
     G = build(spec_text)
     classes = None
     if G.materialized and G.order <= _CLASSES_MAX_ORDER:
@@ -73,6 +49,8 @@ def _group_info(spec_text: str):
 
 
 def cmd_info(args) -> tuple[dict, int]:
+    from .reports import make_report
+
     _, section = _group_info(args.spec)
     return make_report("info", args.seed, group=section), 0
 
@@ -86,6 +64,15 @@ def _seeded_gl(spec_text: str):
 
 
 def cmd_symplectic(args) -> tuple[dict, int]:
+    from .reports import make_report, symplectic_section
+    from .symplectic import (
+        NotFoundWithinBudget,
+        SymplecticSequence,
+        check_symplectic,
+        find_symplectic,
+        structure_report,
+    )
+
     if args.mode == "check" and args.seed_gl:
         raise SpecError("--seed-gl applies to symplectic find, not check")
     G, gsec = _group_info(args.spec)
@@ -113,6 +100,11 @@ def cmd_symplectic(args) -> tuple[dict, int]:
 
 
 def cmd_n2(args) -> tuple[dict, int]:
+    from .colimit import epsilon_kernel
+    from .coset_enum import todd_coxeter
+    from .presentations import build_presentation
+    from .reports import make_report, n2_section
+
     G, gsec = _group_info(args.spec)
     t = todd_coxeter(build_presentation(G, args.q), args.limit)
     kern = epsilon_kernel(G, t) if t.closed else None
@@ -123,6 +115,25 @@ def cmd_n2(args) -> tuple[dict, int]:
 
 
 def cmd_verdict(args) -> tuple[dict, int]:
+    from .colimit import (
+        D2_MEMBERS_MAX_ORDER,
+        d2,
+        d2_antidiagonal_generation,
+        d2_projection_kernel_is_derived,
+        kpi1_verdict,
+        lemma_suite,
+    )
+    from .reports import (
+        d2_section,
+        lemmas_section,
+        make_report,
+        n2_section,
+        symplectic_section,
+        theorem1_section,
+        verdict_section,
+    )
+    from .symplectic import SymplecticSequence, structure_report
+
     G, gsec = _group_info(args.spec)
     seed_sequence = None
     if args.seed_gl:
@@ -174,6 +185,9 @@ def cmd_verdict(args) -> tuple[dict, int]:
 
 
 def cmd_homology(args) -> tuple[dict, int]:
+    from .bar_complex import homology, presented_h1
+    from .reports import homology_section, make_report
+
     G, gsec = _group_info(args.spec)
     res = homology(G, args.q, args.dim, args.max_simplices)
     consistent = None
@@ -189,6 +203,9 @@ def cmd_homology(args) -> tuple[dict, int]:
 
 
 def cmd_hom_count(args) -> tuple[dict, int]:
+    from .bar_complex import hom_count
+    from .reports import make_report
+
     G, gsec = _group_info(args.spec)
     count = hom_count(G, args.n, args.q)
     burnside = None
@@ -204,6 +221,9 @@ def cmd_hom_count(args) -> tuple[dict, int]:
 
 
 def cmd_conjecture(args) -> tuple[dict, int]:
+    from .colimit import conjecture_probe
+    from .reports import conjecture_section, make_report
+
     G, gsec = _group_info(args.spec)
     rep = conjecture_probe(G, args.q, args.limit)
     report = make_report(
@@ -224,6 +244,8 @@ _DISPATCH = {
 
 
 def _render_text(report: dict) -> str:
+    from .reports import NOT_EVALUATED
+
     lines = []
     g = report.get("group")
     if g:
@@ -381,6 +403,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
+        from .reports import dumps_report
+
         sys.stdout.write(dumps_report(report))
     else:
         sys.stdout.write(_render_text(report))

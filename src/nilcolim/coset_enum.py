@@ -31,10 +31,9 @@ from operator import itemgetter, ne
 from struct import Struct
 from typing import NamedTuple, Optional
 
+from .budgets import DEFAULT_COSET_LIMIT
 from .groups import FiniteGroup, partners
 from .presentations import ColimitPresentation, Presentation, Word
-
-DEFAULT_COSET_LIMIT = 10 ** 6
 
 CLOSED = "closed"
 LIMIT_EXCEEDED = "limit-exceeded"
@@ -199,8 +198,10 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
     W = len(IC)
     # columns in definition order: those of +1, -1, +2, -2, ...
     order = list(dict.fromkeys(c for j in range(P.num_generators) for c in (j, IC[j])))
-    # per first column s: its length-3 forms as struct gathers, the rest as words
-    plan = [(*_gather(u), *_gather(t), u, t, r) for u, t, r in zip(U, T, other)]
+    # per first column s: its length-3 forms as struct gathers, the rest as
+    # words; None for a column with no forms, whose scan could change nothing
+    plan = [(*_gather(u), *_gather(t), u, t, r) if u or r else None
+            for u, t, r in zip(U, T, other)]
 
     WB = W * _CELL  # bytes a coset
     blank = array("i", [-1]) * W
@@ -361,10 +362,11 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
                     cells.extend(blank)
                     cells[aW + s] = beta
                     cells[beta * W + IC[s]] = alpha
-                    scan_edge(alpha, s, beta)
+                    if plan[s]:
+                        scan_edge(alpha, s, beta)
                     while ded:
                         a, c = divmod(e := ded.pop(), W)
-                        if (b := cells[e]) != -1 and not dead[a]:
+                        if (b := cells[e]) != -1 and not dead[a] and plan[c]:
                             scan_edge(a, c, b)
                 else:
                     i += 1

@@ -9,24 +9,14 @@ schema drift fails loudly.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .colimit import (
-    ConjectureReport,
-    KernelReport,
-    LemmaSuiteReport,
-    Theorem1Report,
-)
-from .coset_enum import CosetTable
-from .groups import FiniteGroup
-from .snf import SNFResult
-from .symplectic import (
-    ExhaustedNone,
-    NotFoundWithinBudget,
-    StructureReport,
-    SymplecticSequence,
-    Violation,
-)
+if TYPE_CHECKING:  # annotations only: a report needs none of these modules loaded
+    from .colimit import ConjectureReport, KernelReport, LemmaSuiteReport, Theorem1Report
+    from .coset_enum import CosetTable
+    from .groups import FiniteGroup
+    from .snf import SNFResult
+    from .symplectic import StructureReport
 
 SCHEMA_VERSION = 1
 
@@ -37,7 +27,6 @@ _SECTION_FIELDS = {
         "c_order", "nontrivial", "expanded", "budget", "violation", "structure",
     },
     "violation": {"kind", "positions", "detail"},
-    "structure": set(StructureReport._fields),
     "d2": {"order", "derived_order", "antidiagonal_generates", "projection_kernel_ok"},
     "n2": {
         "q", "state", "coset_count", "high_water", "limit", "kernel_order",
@@ -46,7 +35,6 @@ _SECTION_FIELDS = {
     "theorem1": {
         "verdict", "s_order", "d2_order", "n2_order", "state", "d2_members_in_parent_d2",
     },
-    "lemmas": {*LemmaSuiteReport._fields, "all_passed"},
     "homology": {"k", "q", "rank", "torsion", "description", "h1_consistent"},
     "hom_count": {"n", "q", "count", "burnside_agrees"},
     "conjecture": {
@@ -85,6 +73,8 @@ def symplectic_section(
     budget: Optional[int] = None,
     structure: Optional[StructureReport] = None,
 ) -> dict:
+    from .symplectic import ExhaustedNone, NotFoundWithinBudget, SymplecticSequence, Violation
+
     base = {
         "mode": mode,
         "status": "",
@@ -234,6 +224,14 @@ def dumps_report(report: dict) -> str:
 
 def parse_report(text: str) -> dict:
     """Parse and validate a report; unknown fields are rejected."""
+    from .colimit import LemmaSuiteReport
+    from .symplectic import StructureReport
+
+    fields = {
+        **_SECTION_FIELDS,
+        "structure": set(StructureReport._fields),
+        "lemmas": {*LemmaSuiteReport._fields, "all_passed"},
+    }
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("report must be a JSON object")
@@ -247,22 +245,22 @@ def parse_report(text: str) -> dict:
         section = doc.get(key)
         if section is None:
             continue
-        _check_fields(key, section)
+        _check_fields(key, section, fields)
     sym = doc.get("symplectic")
     if sym:
         if sym.get("violation") is not None:
-            _check_fields("violation", sym["violation"])
+            _check_fields("violation", sym["violation"], fields)
         if sym.get("structure") is not None:
-            _check_fields("structure", sym["structure"])
+            _check_fields("structure", sym["structure"], fields)
     verdict = doc.get("verdict")
     if verdict and verdict.get("certificate") is not None:
-        _check_fields("certificate", verdict["certificate"])
+        _check_fields("certificate", verdict["certificate"], fields)
     return doc
 
 
-def _check_fields(section_name: str, section: dict):
+def _check_fields(section_name: str, section: dict, fields: dict):
     if not isinstance(section, dict):
         raise ValueError(f"section {section_name!r} must be an object")
-    unknown = set(section) - _SECTION_FIELDS[section_name]
+    unknown = set(section) - fields[section_name]
     if unknown:
         raise ValueError(f"unknown fields in {section_name!r}: {sorted(unknown)}")

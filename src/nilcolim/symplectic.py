@@ -12,6 +12,7 @@ from functools import cached_property
 from itertools import permutations
 from typing import NamedTuple, Optional, Sequence, Union
 
+from .budgets import DEFAULT_SEARCH_BUDGET
 from .groups import (
     FiniteGroup,
     GroupTooLargeError,
@@ -22,8 +23,6 @@ from .groups import (
     commutator,
     derived_subgroup,
 )
-
-DEFAULT_SEARCH_BUDGET = 10 ** 6
 
 # spans past this order report bilinearity_ok as null; the class test no
 # longer needs the bound, which stays so that reports keep their bytes

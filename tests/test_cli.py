@@ -13,6 +13,22 @@ from nilcolim.reports import parse_report
 # modules that importing the CLI or running a command must leave unloaded
 HEAVY = ("numpy", "dataclasses", "inspect")
 
+# the nilcolim modules that ``import nilcolim.cli`` loads: the argparse
+# defaults and the input errors need no more
+CLI_IMPORT = {"cli", "budgets", "constructions", "groups", "permutations"}
+COLIMIT_PATH = {"reports", "symplectic", "presentations", "coset_enum", "colimit"}
+HOMOLOGY_PATH = {"reports", "presentations", "bar_complex", "snf"}
+# the most that each command may load on top of CLI_IMPORT
+COMMAND_MODULES = {
+    "info quaternion": {"reports"},
+    "symplectic find extraspecial:2:2": {"reports", "symplectic"},
+    "homology extraspecial:2:2": HOMOLOGY_PATH,
+    "hom-count sym:4": HOMOLOGY_PATH,
+    "n2 extraspecial:2:2": COLIMIT_PATH,
+    "verdict extraspecial:2:2": COLIMIT_PATH,
+    "conjecture quaternion --q 3": COLIMIT_PATH,
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -175,7 +191,6 @@ def test_verdict_extraspecial(capsys):
 
 
 def test_verdict_computes_d2_once_per_group(capsys, monkeypatch):
-    import nilcolim.cli as cli_module
     import nilcolim.colimit as colimit
 
     groups = []
@@ -185,8 +200,8 @@ def test_verdict_computes_d2_once_per_group(capsys, monkeypatch):
         groups.append(G)
         return real_d2(G)
 
+    # cmd_verdict imports d2 from colimit when it runs, so it sees the patch
     monkeypatch.setattr(colimit, "d2", counted_d2)
-    monkeypatch.setattr(cli_module, "d2", counted_d2)
     code, doc, _ = run_json(capsys, "verdict", "extraspecial:2:2")
     assert code == 0 and doc["d2"]["order"] == 64
     # the sequence spans G, so S is G: one group, one D2
@@ -349,3 +364,32 @@ def test_verdict_and_table_info_leave_numpy_unloaded(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0] []"
+
+
+def _loaded_submodules(code: str) -> set[str]:
+    """The nilcolim submodules loaded after running ``code`` in a fresh process."""
+    code += "\nprint(' '.join(m[9:] for m in sys.modules if m.startswith('nilcolim.')))"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_submodules("import sys, nilcolim") == set()
+
+
+def test_cli_import_loads_only_what_parsing_needs():
+    assert _loaded_submodules("import sys, nilcolim.cli") == CLI_IMPORT
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_command_loads_only_the_modules_it_runs(command):
+    code = (
+        "import contextlib, io, sys\n"
+        "from nilcolim.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main({command.split()!r})\n"
+    )
+    extra = _loaded_submodules(code) - CLI_IMPORT
+    assert extra <= COMMAND_MODULES[command], extra - COMMAND_MODULES[command]
