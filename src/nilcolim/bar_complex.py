@@ -25,7 +25,7 @@ def hom_count(G: FiniteGroup, n: int, q: int = 2) -> int:
     scan of G^n: each slot ranges over the ids that pass ``partners`` with
     every slot before it (for q = 2, the common centralizer); for q > 2,
     from the third slot on, ``class_below`` then tests the whole tuple.
-    Nothing is cached beyond the ``partners`` arrays.
+    Nothing is cached beyond the ``partners`` arrays and their class record.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

@@ -11,21 +11,22 @@ the full carrier raise GroupTooLargeError instead.
 
 Materialized groups of order <= TABLE_MAX_ORDER multiply and invert by
 lookup in one Cayley table, built on the first ``multiply`` or ``inverse``
-(never at construction) and kept for the group's lifetime: n^2 list cells of
+(never at construction) and kept for the group's lifetime: n^2 tuple cells of
 8 bytes, 134 MB at the cap.  These are exactly the groups that get a colimit
 presentation and conjugacy classes, which read only the table.  Centralizers
 are read off it by column gathers; they and the pair gate ``partners`` are
-cached per group as ``array('i')`` rows.  ``class_below`` decides whether a
-set spans a subgroup of class < q from the set's commutators alone, with no
-closure and no cache.  Lazy groups and materialized groups past the cap
-multiply keys.
+cached per group as ``array('i')`` rows, computed for the least member of
+each conjugacy class and conjugated onto the rest.  ``class_below`` decides
+whether a set spans a subgroup of class < q from the set's commutators alone,
+with no closure and no cache.  Lazy groups and materialized groups past the
+cap multiply keys.
 A subgroup that is the whole parent materializes as the parent itself, so
 its Cayley table and derived subgroup are built once.  Commutator subgroups
 [K, H] come from one algorithm: the normal closure of generator commutators.
 
 Groups and subgroups are immutable once materialized; lazy registries only
-grow.  All caches are ordinary dicts guarded by the GIL; everything here is
-safe to share across threads as long as ids are treated as opaque.
+grow.  All caches are ordinary dicts and arrays guarded by the GIL; everything
+here is safe to share across threads as long as ids are treated as opaque.
 """
 
 from __future__ import annotations
@@ -87,8 +88,9 @@ class FiniteGroup:
         self._partners: dict[int, dict[int, array]] = {}  # q -> a -> partners
         self._derived: Optional[Subgroup] = None
         self._is_abelian: Optional[bool] = None
-        self._cols: Optional[list[list[int]]] = None  # () when keyed
+        self._cols: Optional[list[tuple[int, ...]]] = None  # () when keyed
         self._inv: list[int] = []
+        self._classes: Optional[tuple[array, array]] = None  # see _class_of
         gen_keys = list(generator_keys)
         self.materialized = order <= MAX_ENUMERATED_ORDER
         if element_keys is not None:
@@ -149,12 +151,12 @@ class FiniteGroup:
             return self._inv[a]
         return self._register(self._inv_key(self._key_of[a]))
 
-    def cayley_columns(self) -> list[list[int]]:
+    def cayley_columns(self) -> list[tuple[int, ...]]:
         """``cols[b][a] == a*b``; empty for lazy groups and past TABLE_MAX_ORDER,
         so a non-empty result is the test for "G can be presented".
 
         One column per generator by key multiplication, the rest by BFS over
-        the Cayley graph: col(y*g)[x] = col(g)[col(y)[x]], built in place.
+        the Cayley graph: col(y*g) is col(g) gathered at col(y), into a tuple.
         """
         if self._cols is not None:
             return self._cols
@@ -164,17 +166,17 @@ class FiniteGroup:
             return self._cols
         key_of, id_of, mul = self._key_of, self._id_of, self._mul_key
         gen_cols = {
-            g: [id_of[mul(k, key_of[g])] for k in key_of] for g in self.generators
+            g: tuple([id_of[mul(k, key_of[g])] for k in key_of]) for g in self.generators
         }
         cols: list = [None] * n
-        cols[0] = list(range(n))
+        cols[0] = tuple(range(n))
         queue = [0]
         for y in queue:
             col_y = cols[y]
             for col_g in gen_cols.values():
                 z = col_g[y]
                 if cols[z] is None:
-                    cols[z] = gen_cols.get(z) or [col_g[x] for x in col_y]
+                    cols[z] = gen_cols.get(z) or itemgetter(*col_y)(col_g)
                     queue.append(z)
         if len(queue) != n:
             raise ValueError(f"{self.label}: the generators do not generate")
@@ -392,17 +394,23 @@ def centralizer(G: FiniteGroup, g: int) -> array:
 
 def partners(G: FiniteGroup, a: int, q: int) -> array:
     """Ascending ids b, identity included, for which <a, b> has class < q: the
-    pairs that get a relator in N_q(G).  Computed once per (a, q) and kept as
-    an ``array('i')``.  At q = 2 that is C(a): a*b over all b is the gather
-    ``cols[b][a]`` and b*a the column ``cols[a]``.  Above it, each b is tested
-    by ``class_below(G, (a, b), q)``."""
+    pairs that get a relator in N_q(G).  Kept per (a, q) as an ``array('i')``.
+    On a tabulated group, a = x r x^-1 with r the least of its class gets
+    x partners(r) x^-1, read off the columns ``cols[b][x]`` and ``cols[inv[x]]``.
+    At q = 2, partners(r) is C(r): r*b over all b is the gather ``cols[b][r]``
+    and b*r the column ``cols[r]``.  Above it, each b is tested by
+    ``class_below(G, (r, b), q)``, as for every a of a keyed group."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     cache = G._partners.setdefault(q, {})
     got = cache.get(a)
     if got is None:
         ids, cols = G.elements(), G.cayley_columns()
-        if q > 2:
+        r, x = _class_of(G, a) if cols else (a, 0)
+        if r != a:
+            xb = map(itemgetter(x), map(cols.__getitem__, partners(G, r, q)))
+            got = array("i", sorted(map(cols[G._inv[x]].__getitem__, xb)))
+        elif q > 2:
             got = array("i", [b for b in ids if class_below(G, (a, b), q)])
         elif cols:
             got = array("i", compress(ids, map(eq, map(itemgetter(a), cols), cols[a])))
@@ -410,6 +418,26 @@ def partners(G: FiniteGroup, a: int, q: int) -> array:
             got = array("i", [b for b in ids if G.multiply(a, b) == G.multiply(b, a)])
         cache[a] = got
     return got
+
+
+def _class_of(G: FiniteGroup, a: int) -> tuple[int, int]:
+    """(r, x) from the class record of a tabulated G: r is the least member of
+    a's conjugacy class and a == x r x^-1.  A class not yet recorded is
+    gathered whole, y a y^-1 over all y in one pass (y a is ``cols[a][y]`` and
+    (y a) y^-1 is ``cols[inv[y]][y a]``).  Every filler writes the same
+    values, x before r, so the record is as safe to share as the dicts."""
+    if G._classes is None:
+        G._classes = (array("i", [-1]) * G.order, array("i", [0]) * G.order)
+    rep, conj = G._classes
+    if rep[a] < 0:
+        cols, inv = G._cols, G._inv
+        orbit = dict(zip(map(getitem, map(cols.__getitem__, inv), cols[a]), range(G.order)))
+        r = min(orbit)
+        to_r = cols[inv[orbit[r]]]  # y a y^-1 == (y y_r^-1) r (y y_r^-1)^-1
+        for c, y in orbit.items():
+            conj[c] = to_r[y]
+            rep[c] = r
+    return rep[a], conj[a]
 
 
 def class_below(G: FiniteGroup, elements: Iterable[int], q: int) -> bool:
@@ -478,26 +506,18 @@ def nilpotency_class(H) -> Optional[int]:
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """Partition of element ids into conjugacy classes, ordered by minimum.
-
-    The class of a is {x a x^-1 : x in G}, one gather over the Cayley table:
-    x a is ``cols[a][x]`` and (x a) x^-1 is ``cols[inv[x]][x a]``.
-    """
-    cols = G.cayley_columns()
-    if not cols:
+    """Partition of element ids into conjugacy classes, ordered by minimum,
+    read off the class record that ``partners`` shares (one Cayley-table
+    gather per class not yet recorded)."""
+    if not G.cayley_columns():
         raise GroupTooLargeError(
             f"{G.label}: conjugacy classes are read off the Cayley table, built "
             f"for groups of order <= {TABLE_MAX_ORDER}, got {G.order}"
         )
-    right_by_inverse = [cols[i] for i in G._inv]
-    seen: set[int] = set()
-    out = []
-    for a in range(G.order):
-        if a not in seen:
-            orbit = set(map(getitem, right_by_inverse, cols[a]))
-            seen |= orbit
-            out.append(tuple(sorted(orbit)))
-    return out
+    classes: dict[int, list[int]] = {}
+    for c in G.elements():
+        classes.setdefault(_class_of(G, c)[0], []).append(c)
+    return list(map(tuple, classes.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from nilcolim.groups import (
     centralizer,
     class_below,
     full_subgroup,
+    group_from_table_rows,
     identity_map,
     inversion_map,
     partners,
@@ -226,6 +227,12 @@ def test_conjugacy_classes(spec, expected):
     assert len(classes) == expected
     assert sorted(x for cl in classes for x in cl) == list(range(G.order))
     assert len(classes) == O.conjugacy_class_count(G.multiply, 0, range(G.order))
+    # partners and conjugacy_classes read one class record: a group whose
+    # record was filled by a partners sweep gives the partition of a fresh one
+    swept = _fresh_copy(G)
+    for a in swept.elements():
+        partners(swept, a, 2)
+    assert conjugacy_classes(swept) == conjugacy_classes(_fresh_copy(G)) == classes
 
 
 def test_conjugacy_classes_need_a_cayley_table():
@@ -479,6 +486,15 @@ def test_cayley_table_matches_keyed_arithmetic(spec):
     assert len(G.cayley_columns()) == G.order
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_cayley_columns_of_the_smallest_groups(n):
+    """Each column past the generators is one ``itemgetter`` gather, which
+    returns a bare id, not a tuple, when given a single index."""
+    G = cyclic_group(n)
+    assert G.cayley_columns() == [tuple((a + b) % n for a in range(n)) for b in range(n)]
+    assert conjugacy_classes(G) == [(a,) for a in range(n)]
+
+
 def test_cayley_table_rows_match_keyed_arithmetic_above_1024():
     G = build("gl:2:7")  # order 2016, tabulated since the cap is 4096
     rows = (0, 1, 2, 5, 77, 2015)
@@ -588,18 +604,40 @@ def test_centralizers_take_at_most_8_bytes_a_member():
 
 
 @settings(max_examples=30, deadline=None)
-@given(_small_specs())
-def test_partners_are_the_pairs_spanning_class_below_q(spec):
+@given(_small_specs(), st.data())
+def test_partners_are_the_pairs_spanning_class_below_q(spec, data):
     """``partners`` lists, ascending, the b for which <a, b> has class < q,
-    against the class of each pair's own closure."""
+    against the class of each pair's own closure.  The ids are asked in a
+    drawn order on a fresh copy, so a class member is often asked before the
+    one whose array it is conjugated from."""
     G = build(spec)
     assume(G.order <= 24)
     spans = [[nilpotency_class(closure(G, (a, b))) for b in G.elements()] for a in G.elements()]
+    F = _fresh_copy(G)
     for q in (2, 3, 4):
-        for a in G.elements():
-            assert list(partners(G, a, q)) == [
+        for a in data.draw(st.permutations(G.elements())):
+            assert list(partners(F, a, q)) == [
                 b for b, c in enumerate(spans[a]) if c is not None and c < q
             ]
+
+
+@pytest.mark.parametrize("spec,q", [("sym:5", 2), ("gl:3:2", 2), ("gl:3:2", 3)])
+def test_partners_asked_in_descending_order_match_a_direct_scan(spec, q):
+    """Large classes, asked from the largest member down: every member but
+    the least takes a conjugated array before the least is asked."""
+    G = _fresh_copy(build(spec))
+    ids = G.elements()
+    for a in reversed(ids):
+        if q == 2:
+            direct = [b for b in ids if G.multiply(a, b) == G.multiply(b, a)]
+        else:
+            direct = [b for b in ids if class_below(G, (a, b), q)]
+        assert list(partners(G, a, q)) == direct
+
+
+def _fresh_copy(G):
+    """G over its own ids, with no cache: no class record and no partners."""
+    return group_from_table_rows(list(zip(*G.cayley_columns())), G.generators)
 
 
 @st.composite
