@@ -32,8 +32,7 @@ _EXPORTS = {
     "coset_enum": "CosetTable TableNotClosedError todd_coxeter trace_word",
     "colimit": (
         "D2Subgroup KernelReport conjecture_probe d2 d2_antidiagonal_generation"
-        " epsilon_kernel kpi1_verdict lemma_suite omega_check"
-        " sequence_image_in_n2 theorem1_verify"
+        " epsilon_kernel kpi1_verdict lemma_suite theorem1_verify"
     ),
     "bar_complex": "build_complex h1_consistency hom_count homology presented_h1",
     "snf": "SNFResult smith_normal_form",

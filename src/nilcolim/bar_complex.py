@@ -167,20 +167,6 @@ def homology(
     return SNFResult(rank=dim_k - rank_in - down.rank, torsion=down.torsion)
 
 
-def verify_complex(cx: ChainComplex) -> bool:
-    """d_n . d_{n+1} = 0 for every consecutive pair of built matrices."""
-    for n in range(1, cx.dim_cap):
-        upper = cx.boundary(n + 1)
-        for row in cx.boundary(n):
-            product: dict[int, int] = {}
-            for t, v in row.items():
-                for j, w in upper[t].items():
-                    _add_entry(product, j, v * w)
-            if product:
-                return False
-    return True
-
-
 # -- consistency with the colimit presentation --------------------------------
 
 def abelianized_relator_matrix(P: Presentation) -> list[dict[int, int]]:
@@ -212,5 +198,6 @@ def h1_consistency(
     The level-q complex has the level-q colimit as fundamental group, so its
     H_1 is that presentation abelianized.  d_2 has a column per class-<q pair,
     the presentation a relator per class, so this re-checks that reduction.
+    No command runs it; acceptance criterion 7 does.
     """
     return homology(G, q, 1, max_simplices) == presented_h1(G, q)

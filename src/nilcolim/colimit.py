@@ -497,154 +497,6 @@ def lemma_suite(
     )
 
 
-class SpanEmbeddingReport(NamedTuple):
-    """How the span's colimit sits inside a closed ambient colimit.
-
-    ``sequence_generated_order`` is the order of the subgroup generated by
-    the canonical images of the 2r sequence elements alone.  In the verified
-    instances that subgroup is a proper complement of the central <k>: the
-    image of the whole span colimit also needs the product generators, so
-    image_order = |k| * sequence_generated_order.
-    """
-
-    well_defined: bool
-    injective: bool
-    image_order: int
-    sequence_generated_order: int
-
-    @property
-    def embeds(self) -> bool:
-        return self.well_defined and self.injective
-
-
-def span_map_into_ambient_colimit(
-    seq: SymplecticSequence,
-    g_table: CosetTable,
-    s_table: Optional[CosetTable] = None,
-) -> Optional[SpanEmbeddingReport]:
-    """Machine check of the embedding claim when the ambient colimit closes.
-
-    Maps each coset of the span's colimit into the ambient one by relabeling
-    its representative word, verifies the mapped relators all die (the map
-    is well defined) and that distinct cosets stay distinct, and measures
-    the subgroup generated by the sequence images for comparison.
-    """
-    G = seq.group
-    if g_table.presentation.group is not G:
-        raise ValueError("ambient table does not belong to the sequence's group")
-    if not g_table.closed:
-        return None
-    S, inner, to_parent = seq.span
-    if s_table is None:
-        s_table = todd_coxeter(build_presentation(S, 2), g_table.limit)
-    if not s_table.closed:
-        return None
-
-    def relabel(word: Word) -> Word:
-        return tuple(to_parent[x] if x > 0 else -to_parent[-x] for x in word)
-
-    well_defined = all(
-        trace_word(g_table, relabel(rel)) == 0
-        for rel in s_table.presentation.relators
-    )
-    words = coset_words(s_table)
-    images = [trace_word(g_table, relabel(w)) for w in words]
-    injective = len(set(images)) == len(images)
-    # reachable set of coset 0 under the sequence-image generators only
-    gens = [s for e in inner.elements for s in (to_parent[e], -to_parent[e])]
-    reached = 1 + sum(1 for _ in g_table.breadth_first(gens))
-    return SpanEmbeddingReport(
-        well_defined=well_defined,
-        injective=injective,
-        image_order=len(set(images)),
-        sequence_generated_order=reached,
-    )
-
-
-class SequenceImageReport(NamedTuple):
-    is_symplectic: bool
-    nontrivial: bool
-    commutator_coset: Optional[int]
-
-
-def sequence_image_in_n2(seq: SymplecticSequence, t: CosetTable) -> SequenceImageReport:
-    """Do the generator images {(g_i)} form a symplectic sequence in N2(S)?
-
-    All checks happen at the word level in the closed table: partner pairs
-    share one commutator coset, all other pairs commute, and nontriviality
-    means that common coset is not the identity coset.
-    """
-    if not t.closed:
-        raise TableNotClosedError("needs a closed table")
-    S = t.presentation.group
-    if seq.group is not S:
-        raise ValueError("sequence must live in the enumerated group")
-    r = seq.r
-    words = [word_for_element(e) for e in seq.elements]
-    common = None
-    ok = True
-    for i in range(2 * r):
-        for j in range(i + 1, 2 * r):
-            cw = commutator_word(words[i], words[j])
-            coset = trace_word(t, cw)
-            if j - i == r:
-                if common is None:
-                    common = coset
-                elif coset != common:
-                    ok = False
-            else:
-                if coset != 0:
-                    ok = False
-    return SequenceImageReport(ok, ok and common != 0, common)
-
-
-class OmegaReport(NamedTuple):
-    n: int
-    well_defined: bool
-    involutive: Optional[bool]  # only evaluated for n = -1
-
-
-def omega_check(t: CosetTable, n: int) -> OmegaReport:
-    """Is the power substitution (g) -> (g^n) a well-defined endomorphism?
-
-    The substitution is applied to every relator and traced; all images must
-    die.  For n = -1 the induced coset map is additionally checked to be an
-    involution, which makes it an automorphism.
-    """
-    if not t.closed:
-        raise TableNotClosedError("needs a closed table")
-    P = t.presentation
-    S = P.group
-
-    sub_word: dict[int, Word] = {}
-
-    def omega_of(signed: int) -> Word:
-        w = sub_word.get(signed)
-        if w is None:
-            e = abs(signed)
-            en = S.power(e, n)
-            w = word_for_element(en)
-            if signed < 0:
-                w = inverse_word(w)
-            sub_word[signed] = w
-        return w
-
-    well = True
-    for rel in P.relators:
-        image = concat_words(*(omega_of(x) for x in rel))
-        if trace_word(t, image) != 0:
-            well = False
-            break
-    involutive = None
-    if n == -1 and well:
-        phi = [-1] * t.coset_count
-        phi[0] = 0
-        for x, s, y in t.breadth_first():
-            phi[y] = t.trace(omega_of(s), phi[x])
-        involutive = all(phi[phi[x]] == x for x in range(t.coset_count))
-    return OmegaReport(n, well, involutive)
-
-
 # ---------------------------------------------------------------------------
 # top-level verdicts
 # ---------------------------------------------------------------------------

@@ -480,7 +480,8 @@ def build(spec) -> FiniteGroup:
 
 def extraspecial_symplectic_basis(p: int, r: int) -> tuple[FiniteGroup, list[int]]:
     """The lifted basis in the Heisenberg model: ids of the 2r elements
-    (delta_i|0|0) and (0|delta_i|0), in that order."""
+    (delta_i|0|0) and (0|delta_i|0), in that order.  No command runs it;
+    the theorem-1 and symplectic tests start from it."""
     grp = build(GroupSpec("extraspecial", (p, r)))
     ids = []
     for i in range(r):
@@ -495,13 +496,15 @@ def extraspecial_symplectic_basis(p: int, r: int) -> tuple[FiniteGroup, list[int
 
 
 def elementary_matrix(n: int, p: int, i: int, j: int) -> int:
-    """Id of the transvection E_ij inside the cached gl:n:p group."""
+    """Id of the transvection E_ij inside the cached gl:n:p group.
+    No command runs it; gl_symplectic_sequence and the tests do."""
     grp = build(GroupSpec("gl", (n, p)))
     return grp.id_of_key(matrix_to_perm(elementary_matrix_tuple(n, p, i, j), n, p))
 
 
 def gl_symplectic_sequence(n: int, p: int) -> tuple[FiniteGroup, list[int]]:
-    """The four transvections {E_12, E_13, E_2n, E_3n} in gl:n:p (n >= 4)."""
+    """The four transvections {E_12, E_13, E_2n, E_3n} in gl:n:p (n >= 4).
+    No command runs it; acceptance criterion 2 does."""
     if n < 4:
         raise SpecError(f"gl symplectic sequence needs n >= 4, got {n}")
     grp = build(GroupSpec("gl", (n, p)))
@@ -515,7 +518,8 @@ def gl_symplectic_sequence(n: int, p: int) -> tuple[FiniteGroup, list[int]]:
 
 
 def embed_gl_in_sym(n: int, p: int) -> MapTable:
-    """The injection of gl:n:p into sym:p^n as permutations of the vectors."""
+    """The injection of gl:n:p into sym:p^n as permutations of the vectors.
+    No command runs it; acceptance criterion 2 does."""
     if p ** n > MAX_PERM_POINTS:
         raise SpecError(f"embedding needs {p ** n} points, over the cap")
     source = build(GroupSpec("gl", (n, p)))

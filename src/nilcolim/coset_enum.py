@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from itertools import compress, count, groupby
 from operator import itemgetter, ne
 from struct import Struct
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .budgets import DEFAULT_COSET_LIMIT
 from .groups import FiniteGroup, partners
@@ -85,18 +85,14 @@ class CosetTable(NamedTuple):
             x = self.cells[x * W + self.column(signed)]
         return x
 
-    def breadth_first(
-        self, gens: Optional[Sequence[int]] = None
-    ) -> Iterator[tuple[int, int, int]]:
+    def breadth_first(self) -> Iterator[tuple[int, int, int]]:
         """Breadth-first spanning tree from coset 0: yields ``(x, signed, y)``
         for each newly reached coset y = x.signed, trying the signed
-        generators ``gens`` in order (default +1, -1, +2, -2, ...)."""
+        generators in the order +1, -1, +2, -2, ..."""
         if not self.closed:
             raise TableNotClosedError(f"cannot traverse a {self.state} table")
-        if gens is None:
-            k = self.presentation.num_generators
-            gens = [s for j in range(1, k + 1) for s in (j, -j)]
-        steps = [(s, self.column(s)) for s in gens]
+        k = self.presentation.num_generators
+        steps = [(s, self.column(s)) for j in range(1, k + 1) for s in (j, -j)]
         cells, W = self.cells, self.width
         seen = [False] * self.coset_count
         seen[0] = True

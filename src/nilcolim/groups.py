@@ -157,6 +157,7 @@ class FiniteGroup:
 
         One column per generator by key multiplication, the rest by BFS over
         the Cayley graph: col(y*g) is col(g) gathered at col(y), into a tuple.
+        Inverses follow the same steps: inv(y*g) = inv(g)*inv(y).
         """
         if self._cols is not None:
             return self._cols
@@ -171,16 +172,22 @@ class FiniteGroup:
         cols: list = [None] * n
         cols[0] = tuple(range(n))
         queue = [0]
+        gen_inv = [(col_g, col_g.index(0)) for col_g in gen_cols.values()]
+        inv = [0] * n  # during the fill: inv(g) for the g that first reached z
         for y in queue:
             col_y = cols[y]
-            for col_g in gen_cols.values():
+            for col_g, inv_g in gen_inv:
                 z = col_g[y]
                 if cols[z] is None:
                     cols[z] = gen_cols.get(z) or itemgetter(*col_y)(col_g)
                     queue.append(z)
+                    inv[z] = inv_g
         if len(queue) != n:
             raise ValueError(f"{self.label}: the generators do not generate")
-        self._inv = [col.index(0) for col in cols]
+        for z in queue[1:]:  # z = y*g with y = z*inv(g) earlier in the queue
+            inv_g = inv[z]
+            inv[z] = cols[inv[cols[inv_g][z]]][inv_g]
+        self._inv = inv
         self._cols = cols
         return cols
 
@@ -475,7 +482,7 @@ def class_below(G: FiniteGroup, elements: Iterable[int], q: int) -> bool:
 
 def center(H) -> Subgroup:
     """Elements of H commuting with its generators, read off the centralizers
-    of H materialized as a group."""
+    of H materialized as a group.  No command runs it; the tests do."""
     sub = _as_subgroup(H)
     S, to_parent = sub.as_group()
     common = frozenset(S.elements()).intersection(*(centralizer(S, b) for b in S.generators))
@@ -528,6 +535,7 @@ class MapTable(NamedTuple):
     """A set map between groups, stored by images on element ids.
 
     ``images`` is either a dense list (materialized sources) or a callable.
+    No command builds one; abelianization, the embeddings and the tests do.
     """
 
     source: FiniteGroup
@@ -540,19 +548,12 @@ class MapTable(NamedTuple):
         return self.images[a]
 
 
-def identity_map(G: FiniteGroup) -> MapTable:
-    return MapTable(G, G, list(G.elements()))
-
-
-def inversion_map(G: FiniteGroup) -> MapTable:
-    return MapTable(G, G, [G.inverse(a) for a in G.elements()])
-
-
 def is_nilq_map(phi: MapTable, q: int):
     """Check multiplicativity on every pair generating a class-<q subgroup.
 
     Returns (True, None) or (False, (g, h)) with the first violating pair in
     id order.  Pairs range over the full source, identity included.
+    No command runs it; tests/test_groups.py does.
     """
     G, H = phi.source, phi.target
     n = len(G.elements())
@@ -565,7 +566,8 @@ def is_nilq_map(phi: MapTable, q: int):
 
 
 def abelianization(G: FiniteGroup) -> tuple[FiniteGroup, MapTable]:
-    """The quotient G/[G, G] as a table-backed group plus the quotient map."""
+    """The quotient G/[G, G] as a table-backed group plus the quotient map.
+    No command runs it; tests/test_groups.py does."""
     n = len(G.elements())
     derived = derived_subgroup(G)
     rep_of = [-1] * n

@@ -79,7 +79,8 @@ def build_presentation(G: FiniteGroup, q: int) -> Presentation:
 
 def presentation_dumps(P: Presentation) -> str:
     """Dump format: line 1 ``gens k``, then one relator per line as
-    space-separated signed 1-based generator indices."""
+    space-separated signed 1-based generator indices.  No command prints it;
+    the frozen presentation digests in tests/test_presentations.py hash it."""
     lines = [f"gens {P.num_generators}", *(" ".join(map(str, w)) for w in P.relators)]
     return "\n".join(lines) + "\n"
 

@@ -469,6 +469,23 @@ def sparse_rows(rows):
     return [{j: v for j, v in enumerate(r) if v} for r in rows]
 
 
+def boundaries_square_to_zero(boundaries):
+    """Each product d_n . d_{n+1} of consecutive matrices in ``boundaries`` is zero.
+
+    A matrix is a list of ``{column: value}`` rows; row t of d_{n+1} belongs to
+    column t of d_n.
+    """
+    for lower, upper in zip(boundaries, boundaries[1:]):
+        for row in lower:
+            product = {}
+            for t, v in row.items():
+                for j, w in upper[t].items():
+                    product[j] = product.get(j, 0) + v * w
+            if any(product.values()):
+                return False
+    return True
+
+
 def naive_rank_over_q(rows):
     """Rank by exact Gaussian elimination over the rationals."""
     m = [[Fraction(x) for x in r] for r in rows]

@@ -17,7 +17,6 @@ from nilcolim.bar_complex import (
     hom_count,
     homology,
     presented_h1,
-    verify_complex,
 )
 from nilcolim.constructions import elementary_matrix, extraspecial_group
 from nilcolim.groups import partners
@@ -145,18 +144,22 @@ def test_walk_matches_scan_of_all_tuples(spec):
 
 # -- the chain complex -----------------------------------------------------------
 
+def squares_to_zero(cx):
+    return O.boundaries_square_to_zero([cx.boundary(n) for n in range(1, cx.dim_cap + 1)])
+
+
 def test_z2_complex_shape():
     G = build("cyclic:2")
     cx = build_complex(G, 2, 3)
     assert [len(b) for b in cx.bases] == [1, 1, 1, 1]
-    assert verify_complex(cx)
+    assert squares_to_zero(cx)
 
 
 @pytest.mark.parametrize("spec", SUITE)
 def test_boundary_squares_to_zero(spec):
     G = build(spec)
     cx = build_complex(G, 2, 3 if G.order <= 12 else 2)
-    assert verify_complex(cx)
+    assert squares_to_zero(cx)
 
 
 @pytest.mark.parametrize("spec", SUITE)
@@ -177,14 +180,15 @@ def test_boundaries_are_sparse_rows(spec):
 
 
 def test_verify_complex_detects_a_wrong_entry():
+    """The d.d = 0 oracle the boundary tests rely on fails on a flipped sign."""
     cx = build_complex(build("sym:3"), 2, 3)
     d2, d3 = cx.boundary(2), cx.boundary(3)
     t = next(t for t, row in enumerate(d3) if row)
     i = next(i for i, row in enumerate(d2) if t in row)
-    assert verify_complex(cx)
+    assert squares_to_zero(cx)
     # row i of d_2 . d_3 moves by -2 d_2[i][t] times row t of d_3, which is nonzero
     d2[i][t] = -d2[i][t]
-    assert not verify_complex(cx)
+    assert not squares_to_zero(cx)
 
 
 def test_s3_simplex_counts():

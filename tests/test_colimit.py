@@ -22,8 +22,6 @@ from nilcolim.colimit import (
     k_word,
     kpi1_verdict,
     lemma_suite,
-    omega_check,
-    sequence_image_in_n2,
     theorem1_verify,
 )
 from nilcolim.coset_enum import (
@@ -187,32 +185,6 @@ def test_theorem1_full_isomorphism_certificate_p3(e32_bundle):
     assert certified_bar_counit_isomorphism(e32_bundle)
 
 
-def test_span_injectivity_in_closing_ambient():
-    """When the ambient colimit itself closes, the span's colimit embeds.
-
-    The 64-element product of the extraspecial group with a central Z/2 has
-    a closing colimit (128 cosets), so the embedding is checked directly:
-    the relabeled relators all die and distinct cosets stay distinct.  The
-    subgroup generated by the four sequence images alone is strictly
-    smaller (an index-2 complement of the central k): the full image also
-    needs the product generators.
-    """
-    from nilcolim.colimit import span_map_into_ambient_colimit
-
-    e22, basis = extraspecial_symplectic_basis(2, 2)
-    G = build("product:(extraspecial:2:2),(cyclic:2)")
-    z_id = build("cyclic:2").key_of(0)
-    ids = [G.id_of_key((e22.key_of(b), z_id)) for b in basis]
-    seq = check_symplectic(G, ids)
-    assert seq.nontrivial and seq.r == 2
-    g_table = todd_coxeter(build_presentation(G, 2))
-    assert g_table.closed and g_table.coset_count == 128
-    rep = span_map_into_ambient_colimit(seq, g_table)
-    assert rep.embeds
-    assert rep.image_order == 64
-    assert rep.sequence_generated_order == 32
-
-
 def test_sequence_images_span_complement_of_k():
     """Inside N2(S) itself, <(g_1),...,(g_2r)> is a complement of <k>."""
     from nilcolim.coset_enum import todd_coxeter as tc
@@ -233,7 +205,6 @@ def test_sequence_images_span_complement_of_k():
                         seen.add(y)
                         new.append(y)
             frontier = new
-        assert seen == {0} | {y for _, _, y in t.breadth_first(gens)}
         assert len(seen) == S.order           # a complement: one per element
         assert t.coset_count == p * S.order   # the kernel <k> is missing
         assert trace_word(t, k_word(S, inner)) not in seen
@@ -300,46 +271,6 @@ def test_k_word_shape(e22_bundle):
     w = k_word(S, seq, 1)
     g, h = seq.elements[0], seq.elements[0 + seq.r]
     assert w == (-S.multiply(g, h), g, h)
-
-
-def test_sequence_image_in_n2(e22_bundle):
-    rep = sequence_image_in_n2(e22_bundle.sequence, e22_bundle.table)
-    assert rep.is_symplectic and rep.nontrivial
-    assert rep.commutator_coset != 0
-
-
-def test_sequence_image_trivial_case():
-    z = build("product:(cyclic:2),(product:(cyclic:2),(cyclic:2))")
-    seq = check_symplectic(z, [1, 2, 3, 4])
-    S, inner, _ = seq.span
-    t = todd_coxeter(build_presentation(S, 2))
-    rep = sequence_image_in_n2(inner, t)
-    assert rep.is_symplectic and not rep.nontrivial
-    assert rep.commutator_coset == 0
-
-
-# -- omega -------------------------------------------------------------------------
-
-def test_omega_identity_and_inverse(e22_bundle):
-    t = e22_bundle.table
-    assert omega_check(t, 1).well_defined
-    rep = omega_check(t, -1)
-    assert rep.well_defined and rep.involutive
-    assert omega_check(t, 2).well_defined
-
-
-def test_omega_on_abelian_colimit():
-    G = build("cyclic:6")
-    t = todd_coxeter(build_presentation(G, 2))
-    for n in (-1, 0, 2, 3):
-        assert omega_check(t, n).well_defined
-
-
-def test_omega_e32(e32_bundle):
-    t = e32_bundle.table
-    rep = omega_check(t, -1)
-    assert rep.well_defined and rep.involutive
-    assert omega_check(t, 3).well_defined
 
 
 # -- counit kernel ------------------------------------------------------------------

@@ -502,8 +502,6 @@ def test_breadth_first_tree():
         depth[y] = depth[x] + 1
     assert [depth[y] for _, _, y in edges] == sorted(depth[y] for _, _, y in edges)
     assert edges[0] == (0, 1, t.trace((1,)))
-    only_one = list(t.breadth_first([1, -1]))
-    assert len(only_one) == G.element_order(1) - 1
     with pytest.raises(TableNotClosedError):
         next(_manual(2, [], limit=5).breadth_first())
 

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcolim import build, omega_check, presented_h1, todd_coxeter
-from nilcolim.colimit import span_map_into_ambient_colimit
-from nilcolim.constructions import extraspecial_symplectic_basis
+from nilcolim import build, presented_h1, todd_coxeter
 from nilcolim.groups import TABLE_MAX_ORDER, GroupTooLargeError
 from nilcolim.permutations import format_cycles
 from nilcolim.presentations import (
@@ -21,7 +19,6 @@ from nilcolim.presentations import (
     presentation_dumps,
     word_for_element,
 )
-from nilcolim.symplectic import check_symplectic
 
 import oracles as O
 
@@ -244,32 +241,3 @@ def test_full_relator_list_has_the_presented_h1(spec, q):
     rank, torsion = O.abelian_invariants(G.order - 1, dense)
     res = presented_h1(G, q)
     assert (res.rank, res.torsion) == (rank, tuple(torsion))
-
-
-def test_full_relator_list_gives_the_same_omega_reports():
-    # extraspecial:2:2 at q = 2 has every power map well defined; at q = 3
-    # each table is the group itself, where none of them is
-    for spec, q in [("extraspecial:2:2", 2), ("quaternion", 3), ("dihedral:4", 3),
-                    ("extraspecial:2:2", 3)]:
-        G = build(spec)
-        reduced = todd_coxeter(build_presentation(G, q))
-        full = todd_coxeter(_full_presentation(G, q))
-        assert reduced.closed and full.closed
-        for n in (-1, 0, 2, 3):
-            assert omega_check(reduced, n) == omega_check(full, n)
-
-
-def test_full_relator_list_gives_the_same_span_map_report():
-    e22, basis = extraspecial_symplectic_basis(2, 2)
-    G = build("product:(extraspecial:2:2),(cyclic:2)")
-    z_id = build("cyclic:2").key_of(0)
-    seq = check_symplectic(G, [G.id_of_key((e22.key_of(b), z_id)) for b in basis])
-    S = seq.span[0]
-    reports = [
-        span_map_into_ambient_colimit(seq, todd_coxeter(g_pres), todd_coxeter(s_pres))
-        for g_pres, s_pres in [
-            (build_presentation(G, 2), build_presentation(S, 2)),
-            (_full_presentation(G, 2), _full_presentation(S, 2)),
-        ]
-    ]
-    assert reports[0] == reports[1] and reports[0].embeds
