@@ -13,8 +13,8 @@ from operator import add
 from random import Random
 from typing import NamedTuple, Optional, Union
 
+from .budgets import DEFAULT_COSET_LIMIT, DEFAULT_SEARCH_BUDGET
 from .coset_enum import (
-    DEFAULT_COSET_LIMIT,
     CosetTable,
     TableNotClosedError,
     todd_coxeter,
@@ -38,7 +38,6 @@ from .presentations import (
     word_for_element,
 )
 from .symplectic import (
-    DEFAULT_SEARCH_BUDGET,
     ExhaustedNone,
     NotFoundWithinBudget,
     SymplecticSequence,

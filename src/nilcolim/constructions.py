@@ -419,17 +419,15 @@ def product_group(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 
 def perm_group_from_cycles(chunks: tuple[str, ...]) -> FiniteGroup:
-    degree = 0
     raw = [parse_cycles(c) for c in chunks]
     degree = max([len(r) for r in raw] + [1])
     gens = [extend(r, degree) for r in raw]
-    chain = StabilizerChain(gens, degree)
-    order = chain.order()
+    ident = identity_perm(degree)
     return FiniteGroup(
         backing="perm",
-        order=order,
-        identity_key=identity_perm(degree),
-        generator_keys=[g for g in gens if g != identity_perm(degree)],
+        order=StabilizerChain(gens, degree).order(),
+        identity_key=ident,
+        generator_keys=[g for g in gens if g != ident],
         mul_key=compose,
         inv_key=invert,
         key_name=format_cycles,

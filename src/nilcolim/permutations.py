@@ -1,4 +1,8 @@
-"""Permutations on 0-based points, plus a small stabilizer-chain engine.
+"""Permutations on 0-based points, plus a stabilizer chain.
+
+``perm:`` specs take their order from ``StabilizerChain``.  Its membership
+test ``contains`` is the sift that builds the chain; no command runs it, the
+tests do.
 
 Composition convention throughout: ``(s * t)(x) = s(t(x))``; the right
 factor acts first.  All cycle-notation I/O uses 1-based points.
@@ -23,22 +27,6 @@ def invert(s: Sequence[int]) -> tuple[int, ...]:
     for i, v in enumerate(s):
         out[v] = i
     return tuple(out)
-
-
-def parity(s: Sequence[int]) -> int:
-    """0 for even permutations, 1 for odd."""
-    seen = [False] * len(s)
-    odd = 0
-    for i in range(len(s)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = s[j]
-            length += 1
-        odd ^= (length - 1) & 1
-    return odd
 
 
 def extend(s: Sequence[int], degree: int) -> tuple[int, ...]:
@@ -114,115 +102,74 @@ def format_cycles(s: Sequence[int]) -> str:
 
 
 class StabilizerChain:
-    """Schreier–Sims stabilizer chain for ⟨gens⟩ ≤ Sym(degree).
+    """Stabilizer chain for ⟨gens⟩ ≤ Sym(degree), by incremental Schreier–Sims.
 
-    Supports order computation and ambient membership tests without
-    materializing the group.  Base points are chosen deterministically as the
-    smallest point moved by the current generators.
+    Level i has a base point, strong generators fixing the earlier base
+    points, and a transversal mapping each point of the base point's orbit to
+    a coset representative that sends the base point there.  Each Schreier
+    generator is sifted as soon as it appears, and a residue that does not
+    sift becomes a new strong generator (Sims 1970; Holt, Eick & O'Brien,
+    *Handbook of Computational Group Theory*, §4.4).  The order is the
+    product of the orbit lengths, found without materializing the group.
+    Memory is the degree times the summed orbit lengths.
     """
 
     def __init__(self, gens: Iterable[Sequence[int]], degree: int):
         self.degree = degree
+        self._identity = identity_perm(degree)
         self.base: list[int] = []
         self.strong_gens: list[list[tuple[int, ...]]] = []  # per level
         self.transversals: list[dict[int, tuple[int, ...]]] = []
-        gens = [tuple(g) for g in gens if any(g[i] != i for i in range(degree))]
-        self._build(gens)
+        for g in gens:
+            self._add(tuple(g))
 
-    def _orbit_transversal(self, beta: int, gens: list[tuple[int, ...]]):
-        trans = {beta: identity_perm(self.degree)}
-        queue = [beta]
-        for pt in queue:  # the list grows while it is read: an index queue
-            rep = trans[pt]
-            for g in gens:
-                img = g[pt]
-                if img not in trans:
-                    trans[img] = compose(g, rep)
-                    queue.append(img)
-        return trans
+    def _sift(self, g: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """Reduce g through the levels: (residue, level it stuck at).
 
-    def _build(self, gens: list[tuple[int, ...]]):
-        level = 0
-        cur_gens = list(gens)
-        while cur_gens:
-            moved = min(
-                min((i for i in range(self.degree) if g[i] != i), default=self.degree)
-                for g in cur_gens
-            )
-            self.base.append(moved)
-            self.strong_gens.append(list(cur_gens))
-            trans = self._orbit_transversal(moved, cur_gens)
-            self.transversals.append(trans)
-            # Schreier generators for the stabilizer, sifted into the next level
-            next_gens: list[tuple[int, ...]] = []
-            ident = identity_perm(self.degree)
-            for pt in sorted(trans):
-                rep = trans[pt]
-                for g in cur_gens:
-                    img_rep = trans[g[pt]]
-                    schreier = compose(invert(img_rep), compose(g, rep))
-                    if schreier != ident and schreier not in next_gens:
-                        next_gens.append(schreier)
-            level += 1
-            cur_gens = next_gens
-        # One straight pass of Schreier generators per level is not always
-        # enough for a strong generating set; verify by sifting and patch.
-        self._verify_and_fix(gens)
-
-    def _verify_and_fix(self, gens: list[tuple[int, ...]]):
-        # Repeatedly sift all Schreier generators until everything sifts clean.
-        changed = True
-        guard = 0
-        while changed:
-            changed = False
-            guard += 1
-            if guard > 100:
-                raise RuntimeError("stabilizer chain failed to stabilize")
-            for lvl in range(len(self.base)):
-                trans = self.transversals[lvl]
-                lvl_gens = self.strong_gens[lvl]
-                for pt in sorted(trans):
-                    rep = trans[pt]
-                    for g in lvl_gens:
-                        schreier = compose(
-                            invert(trans[g[pt]]), compose(g, rep)
-                        )
-                        ok, residue, drop = self._sift(schreier, lvl + 1)
-                        if not ok:
-                            self.strong_gens[drop].append(residue)
-                            self.transversals[drop] = self._orbit_transversal(
-                                self.base[drop], self.strong_gens[drop]
-                            )
-                            changed = True
-                if changed:
-                    break
-
-    def _sift(self, g: tuple[int, ...], start_level: int = 0):
-        """Sift g through levels >= start_level.
-
-        Returns (fully_sifted, residue, level_where_stuck_or_new).
+        The level is ``len(self.base)`` when g passes every level; g is in
+        the group exactly when the residue is the identity.
         """
-        ident = identity_perm(self.degree)
-        cur = g
-        for lvl in range(start_level, len(self.base)):
-            if cur == ident:
-                return True, cur, lvl
-            beta = self.base[lvl]
-            img = cur[beta]
-            trans = self.transversals[lvl]
-            if img not in trans:
-                return False, cur, lvl
-            cur = compose(invert(trans[img]), cur)
-        if cur == ident:
-            return True, cur, len(self.base)
-        # residue moves points but no level handles it: needs a new level
-        if start_level >= len(self.base):
-            moved = min(i for i in range(self.degree) if cur[i] != i)
-            self.base.append(moved)
+        for lvl, (beta, trans) in enumerate(zip(self.base, self.transversals)):
+            img = g[beta]
+            if img != beta:
+                if img not in trans:
+                    return g, lvl
+                g = compose(invert(trans[img]), g)
+        return g, len(self.base)
+
+    def _add(self, g: tuple[int, ...], start: int = 0) -> None:
+        """Keep the residue of g, which fixes the base points before
+        ``start``, if it does not sift: it becomes a strong generator of
+        levels ``start`` through the level where it stuck.  A residue that
+        passes every level opens a new last level at the least point it
+        moves."""
+        h, stuck = self._sift(g)
+        if h == self._identity:
+            return
+        if stuck == len(self.base):
+            beta = next(i for i in range(self.degree) if h[i] != i)
+            self.base.append(beta)
             self.strong_gens.append([])
-            self.transversals.append({moved: ident})
-            return False, cur, len(self.base) - 1
-        return False, cur, len(self.base) - 1
+            self.transversals.append({beta: self._identity})
+        for lvl in range(stuck, start - 1, -1):
+            self._extend_level(lvl, h)
+
+    def _extend_level(self, lvl: int, h: tuple[int, ...]) -> None:
+        """Add h to the strong generators of ``lvl`` and close its orbit over
+        the (point, generator) pairs not yet seen, sending each Schreier
+        generator met to the levels below."""
+        gens, trans = self.strong_gens[lvl], self.transversals[lvl]
+        gens.append(h)
+        orbit = list(trans)
+        known = len(orbit)
+        for i, pt in enumerate(orbit):  # the list grows while it is read
+            for g in (gens[-1:] if i < known else gens):
+                img, rep = g[pt], compose(g, trans[pt])
+                if img not in trans:
+                    trans[img] = rep
+                    orbit.append(img)
+                else:
+                    self._add(compose(invert(trans[img]), rep), lvl + 1)
 
     def order(self) -> int:
         n = 1
@@ -231,17 +178,7 @@ class StabilizerChain:
         return n
 
     def contains(self, g: Sequence[int]) -> bool:
+        """Membership by the sift that builds the chain.  No command runs
+        it; the tests do."""
         g = tuple(g)
-        if len(g) != self.degree:
-            return False
-        ident = identity_perm(self.degree)
-        cur = g
-        for lvl in range(len(self.base)):
-            if cur == ident:
-                return True
-            img = cur[self.base[lvl]]
-            trans = self.transversals[lvl]
-            if img not in trans:
-                return False
-            cur = compose(invert(trans[img]), cur)
-        return cur == ident
+        return len(g) == self.degree and self._sift(g)[0] == self._identity

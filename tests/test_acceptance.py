@@ -23,7 +23,6 @@ from nilcolim.colimit import (
 )
 from nilcolim.constructions import embed_gl_in_sym, gl_symplectic_sequence
 from nilcolim.coset_enum import todd_coxeter
-from nilcolim.permutations import parity
 from nilcolim.presentations import build_presentation
 from nilcolim.reports import parse_report
 from nilcolim.symplectic import SymplecticSequence, check_symplectic
@@ -88,7 +87,7 @@ def test_criterion_2_gl_sym_pipeline():
     assert isinstance(image_seq, SymplecticSequence) and image_seq.nontrivial
     for e in image_ids:
         perm = sym16.key_of(e)
-        assert len(perm) == 16 and parity(perm) == 0
+        assert len(perm) == 16 and O.perm_parity(perm) == 0
 
     thm = theorem1_verify(seq)
     assert thm.verdict == "PASS"

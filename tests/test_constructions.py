@@ -27,7 +27,7 @@ from nilcolim.constructions import (
     perm_to_matrix,
     seeded_gl_sequence_in_sym,
 )
-from nilcolim.permutations import parity
+from nilcolim.groups import MAX_ENUMERATED_ORDER
 
 import oracles as O
 
@@ -48,9 +48,12 @@ import oracles as O
     ("perm:(1 2 3)(4 5);(1 2)", 12),
     ("perm:(1 2 3 4 5);(1 2)", 120),
     ("perm:(1 2 3 4)", 4),
+    ("perm:(1 2 3);(2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)", 10461394944000),  # A16
 ])
 def test_build_orders(text, order):
-    assert build(text).order == order
+    G = build(text)
+    assert G.order == order
+    assert G.materialized == (order <= MAX_ENUMERATED_ORDER)
 
 
 @pytest.mark.parametrize("bad", [
@@ -237,7 +240,7 @@ def test_embed_gl_in_sym_is_injective_homomorphism():
 def test_gl42_image_is_even():
     """The embedded gl:4:2 lands in the even permutations of the 16 points."""
     gl = build("gl:4:2")
-    assert all(parity(gl.key_of(a)) == 0 for a in range(gl.order))
+    assert all(O.perm_parity(gl.key_of(a)) == 0 for a in range(gl.order))
 
 
 def test_embed_in_larger_sym():
@@ -271,7 +274,7 @@ def test_alt_orders_and_parity():
     for n in (3, 4, 5, 6, 7, 8):
         alt = build(f"alt:{n}")
         assert alt.order == math.factorial(n) // 2
-        assert all(parity(alt.key_of(g)) == 0 for g in alt.generators)
+        assert all(O.perm_parity(alt.key_of(g)) == 0 for g in alt.generators)
         if alt.materialized and alt.order <= 3000:
             assert closure(alt, alt.generators).order == alt.order
 

@@ -14,7 +14,6 @@ from nilcolim.permutations import (
     format_cycles,
     identity_perm,
     invert,
-    parity,
     parse_cycles,
 )
 
@@ -47,27 +46,6 @@ def test_invert():
         s = tuple(s)
         assert compose(s, invert(s)) == identity_perm(n)
         assert compose(invert(s), s) == identity_perm(n)
-
-
-def test_parity():
-    assert parity(parse_cycles("(1 2)", 4)) == 1
-    assert parity(parse_cycles("(1 2 3)", 4)) == 0
-    assert parity(parse_cycles("(1 2)(3 4)", 4)) == 0
-    assert parity(identity_perm(5)) == 0
-    rng = random.Random(5)
-    for _ in range(40):
-        n = rng.randrange(2, 10)
-        s = list(range(n)); rng.shuffle(s)
-        assert parity(tuple(s)) == O.perm_parity(tuple(s))
-
-
-def test_parity_multiplicative():
-    rng = random.Random(6)
-    for _ in range(40):
-        n = rng.randrange(2, 10)
-        s = list(range(n)); rng.shuffle(s)
-        t = list(range(n)); rng.shuffle(t)
-        assert parity(compose(tuple(s), tuple(t))) == parity(tuple(s)) ^ parity(tuple(t))
 
 
 def test_cycles_roundtrip():
@@ -105,6 +83,10 @@ def test_extend():
     (["(1 2 3 4)"], 4, 4),
     (["(1 2)(3 4)", "(1 3)(2 4)"], 4, 4),         # Klein
     (["(1 2 3 4 5 6 7 8)", "(1 2)"], 8, math.factorial(8)),
+    (["(1 2 3)", "(2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)"], 16,
+     math.factorial(16) // 2),                    # A16
+    (["(1 2)", "(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20)"], 20,
+     math.factorial(20)),                         # S20
 ])
 def test_stabilizer_chain_order(gens, degree, order):
     chain = StabilizerChain([parse_cycles(g, degree) for g in gens], degree)
@@ -112,14 +94,13 @@ def test_stabilizer_chain_order(gens, degree, order):
 
 
 @st.composite
-def _generating_sets(draw, max_degree=9):
-    degree = draw(st.integers(1, max_degree))
-    return degree, draw(st.lists(st.permutations(range(degree)), max_size=3))
+def _generating_sets(draw, min_degree=1, max_degree=9, min_size=0, max_size=3):
+    degree = draw(st.integers(min_degree, max_degree))
+    gens = st.lists(st.permutations(range(degree)), min_size=min_size, max_size=max_size)
+    return degree, draw(gens)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_generating_sets())
-def test_stabilizer_chain_order_matches_sympy(case):
+def _assert_order_matches_sympy(case):
     from sympy.combinatorics import Permutation, PermutationGroup
 
     degree, gens = case
@@ -127,6 +108,20 @@ def test_stabilizer_chain_order_matches_sympy(case):
         [Permutation(g, size=degree) for g in gens] or [Permutation(degree - 1)]
     )
     assert StabilizerChain(gens, degree).order() == oracle.order()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_generating_sets())
+def test_stabilizer_chain_order_matches_sympy(case):
+    _assert_order_matches_sympy(case)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_generating_sets(min_degree=10, max_degree=16, min_size=2, max_size=2))
+def test_stabilizer_chain_order_matches_sympy_two_random_gens(case):
+    """Two random permutations mostly generate Alt or Sym of degree 10-16,
+    whose long chains need every Schreier generator sifted."""
+    _assert_order_matches_sympy(case)
 
 
 def test_stabilizer_chain_membership():
@@ -137,7 +132,7 @@ def test_stabilizer_chain_membership():
     for _ in range(60):
         s = list(range(degree)); rng.shuffle(s)
         s = tuple(s)
-        assert chain.contains(s) == (parity(s) == 0)
+        assert chain.contains(s) == (O.perm_parity(s) == 0)
 
 
 def test_stabilizer_chain_sym16_membership():
