@@ -1,38 +1,57 @@
 """Felsch-style coset enumeration over the trivial subgroup.
 
 The strategy is deduction-stack driven, with coincidences resolved through a
-union-find merge queue (Holt's presentation of the algorithm).  Each
-deduction alpha.s = beta is scanned once, from alpha, against every relator
-rotation (form) that starts with column s: the forms of every relator and of
-its inverse are all present, so a scan from beta would walk the same cycles.
-Definitions fill the first empty slot of a coset, trying the signed
-generators in the order +1, -1, +2, -2, ..., so runs are deterministic.
+union-find merge queue (Holt's presentation of the algorithm).  Definitions
+fill the first empty cell of a coset, trying the signed generators in the
+order +1, -1, +2, -2, ..., so runs are deterministic.  The table is one flat
+``array('i')``, and a dict forwards each merged coset.
 
-As ACE does for involutions, generators a, b > 0 that are each other's only
+A colimit presentation from ``build_presentation`` is enumerated in
+epsilon-coordinates, off G's Cayley table; its relators are never read.  A
+coset x has an image eps(x) in G under the counit N_q(G) -> G, and an edge
+x.(g) = y has eps(y) = eps(x) g.  So row x holds one slot per element h of
+G: slot h holds the y = x.(eps(x)^-1 h), whose image is h, and slot eps(x)
+holds x itself.  The two cells of an edge x -> y are (x, eps(y)) and
+(y, eps(x)).  The forms are the words (a)(b)(ab)^-1 over b in
+P(a) = ``partners(G, a, q)``.  Through an edge x --a--> y, such a form has
+its other two cells in one slot, eps(x) a b, of rows y and x, and it gives
+nothing exactly when the two rows agree there.  As a P(a) = P(a), a scan of
+the edge is the one test "rows x and y agree on the slots eps(x) P(a)".
+That set also holds eps(x) and eps(y), where the rows always agree.  Both
+rows are read by one precompiled ``struct`` gather, a run of adjacent slots
+as one bytes object and a lone slot as an int, and only the items that
+differ are walked, slot by slot, to fill or merge.  The set eps(x) P(a)
+depends only on the left coset of eps(x) modulo the stabilizer
+{h : h P(a) = P(a)}.  The stabilizer contains <a>, and at q = 2 it is
+P(a) = C(a) itself.  So a gather is built once per such left coset, and
+every edge whose slots it covers shares it.  A merged coset keeps ~eps(x),
+a negative image.  A closed table is rewritten once, in place, to generator
+columns; one cut at its limit is left in epsilon-coordinates (see
+``CosetTable.generator_cells``).
+
+Any other presentation is scanned relator by relator.  Each deduction
+alpha.s = beta is scanned once, from alpha, against every relator rotation
+(form) that starts with column s: the forms of every relator and of its
+inverse are all present, so a scan from beta would walk the same cycles.  As
+ACE does for involutions, generators a, b > 0 that are each other's only
 partner in a relator (a)(b) or (b)(a) share a column pair and those relators
 are dropped; any other generator keeps a formal inverse column.  Forms of
 length 3 are gathered per column with one ``struct`` read a side (see
-``scan_edge``); other lengths use a generic two-ended scan.  A colimit
-presentation pairs each g with g^-1, and its forms are exactly the words
-(a)(b)(ab)^-1 over a, b != 1 with ab != 1 and b in ``partners(G, a, q)``, as
-it keeps one relator of each rotation-and-inversion class: they are read off
-the Cayley table, not off the relators.  The table is one flat
-``array('i')``, W cells a coset, so cell alpha * W + s is the edge alpha.s;
-merged cosets are flagged in a ``bytearray`` and forwarded by a dict.
+``scan_edge``); other lengths use a generic two-ended scan.  Merged cosets
+are flagged in a ``bytearray``.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections.abc import Iterator
-from itertools import compress, count, groupby
-from operator import itemgetter, ne
+from itertools import compress, count, repeat
+from operator import getitem, itemgetter, ne
 from struct import Struct
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .budgets import DEFAULT_COSET_LIMIT
-from .groups import FiniteGroup, partners
+from .groups import partners
 from .presentations import ColimitPresentation, Presentation, Word
 
 CLOSED = "closed"
@@ -47,12 +66,17 @@ class TableNotClosedError(RuntimeError):
 class CosetTable(NamedTuple):
     """Result of an enumeration: live cosets renumbered 0..coset_count-1.
 
-    ``cells[x * width + c]``, in one ``array('i')``, is the target coset of x
+    In generator columns, ``cells[x * width + c]`` is the target coset of x
     along column c (or -1 while partial).  Column j-1 carries generator j;
     ``inverse_column[c]`` is the column that undoes column c: the paired
     generator's column, c itself for an involution, or a formal inverse column
     at index >= k.  Cells are paired: every filled x.c = y has
-    y.inverse_column[c] = x, in partial tables too.
+    y.inverse_column[c] = x, in partial tables too.  ``letters`` maps each
+    signed generator to its column.  A colimit table cut at its limit stays
+    in the enumerator's epsilon-coordinates (see the module docstring):
+    ``epsilon[x]`` is the image of coset x in G, and ``cells`` holds
+    width + 1 slots a coset.  ``epsilon`` is None for a table in generator
+    columns, and ``generator_cells()`` reads either kind as generator columns.
     """
 
     presentation: Presentation
@@ -63,6 +87,8 @@ class CosetTable(NamedTuple):
     cells: array
     width: int
     inverse_column: list[int]
+    letters: dict[int, int]
+    epsilon: Optional[array]
 
     def __repr__(self):
         return f"CosetTable({self.state}, {self.coset_count} cosets, high water {self.high_water})"
@@ -72,17 +98,29 @@ class CosetTable(NamedTuple):
         return self.state == CLOSED
 
     def column(self, signed_gen: int) -> int:
-        j = abs(signed_gen)
-        if j < 1 or j > self.presentation.num_generators:
-            raise ValueError(f"generator index {signed_gen} out of range")
-        return j - 1 if signed_gen > 0 else self.inverse_column[j - 1]
+        try:
+            return self.letters[signed_gen]
+        except KeyError:
+            raise ValueError(f"generator index {signed_gen} out of range") from None
+
+    def generator_cells(self) -> array:
+        """Every cell, coset by coset, in generator columns: ``cells`` itself,
+        or a rewritten copy of a table left in epsilon-coordinates."""
+        if self.epsilon is None:
+            return self.cells
+        cells = self.cells[:]
+        _to_generator_columns(cells, self.epsilon, self.presentation.group.cayley_columns())
+        return cells
 
     def trace(self, word: Word, start: int = 0) -> int:
         if not self.closed:
             raise TableNotClosedError(f"cannot trace words in a {self.state} table")
-        x, W = start, self.width
-        for signed in word:
-            x = self.cells[x * W + self.column(signed)]
+        x, W, cells, col = start, self.width, self.cells, self.letters
+        try:
+            for signed in word:
+                x = cells[x * W + col[signed]]
+        except KeyError:
+            raise ValueError(f"generator index {signed} out of range") from None
         return x
 
     def breadth_first(self) -> Iterator[tuple[int, int, int]]:
@@ -91,8 +129,7 @@ class CosetTable(NamedTuple):
         generators in the order +1, -1, +2, -2, ..."""
         if not self.closed:
             raise TableNotClosedError(f"cannot traverse a {self.state} table")
-        k = self.presentation.num_generators
-        steps = [(s, self.column(s)) for j in range(1, k + 1) for s in (j, -j)]
+        steps = list(self.letters.items())
         cells, W = self.cells, self.width
         seen = [False] * self.coset_count
         seen[0] = True
@@ -112,19 +149,68 @@ def trace_word(t: CosetTable, word: Word) -> int:
     return t.trace(word, 0)
 
 
+def _table(P: Presentation, exceeded: bool, high_water: int, limit: int, cells: array,
+           IC: list[int], merged: int, epsilon: Optional[array] = None) -> CosetTable:
+    """The ``CosetTable`` of an enumeration that merged away ``merged`` cosets."""
+    k = P.num_generators
+    letters = {s: c for j in range(k) for s, c in ((j + 1, j), (-j - 1, IC[j]))}
+    return CosetTable(P, LIMIT_EXCEEDED if exceeded else CLOSED, high_water - merged,
+                      high_water, limit, cells, len(IC), IC, letters, epsilon)
+
+
+def _keep(cells: array, live: list[int], W: int) -> None:
+    """Renumber the cosets ``live`` (ascending, from 0) 0, 1, ... in place in
+    a table of W cells a coset, and drop the others."""
+    renum = array("i", [-1]) * (len(cells) // W + 1)  # renum[-1] keeps -1 cells
+    for new, old in enumerate(live):
+        renum[old] = new
+    for new, old in enumerate(live):
+        row = cells[old * W : old * W + W]
+        cells[new * W : new * W + W] = array("i", map(renum.__getitem__, row))
+    del cells[len(live) * W :]
+
+
+def _to_generator_columns(cells: array, eps: array, cols: list) -> None:
+    """Rewrite a table in epsilon-coordinates, in place, to generator
+    columns: column g - 1 of row x is its slot eps(x) g (``cols[g][eps(x)]``),
+    and its slot eps(x), x itself, goes.  Row x moves left, into cells that
+    the rows before it have already left."""
+    gcols = cols[1:]
+    W = len(gcols)
+    for x, E in enumerate(eps):
+        row = cells[x * (W + 1) : (x + 1) * (W + 1)]
+        cells[x * W : x * W + W] = array("i", map(row.__getitem__, map(itemgetter(E), gcols)))
+    del cells[len(eps) * W :]
+
+
+def _reader(distinct: list[int], whole: bool, ranges: dict) -> tuple:
+    """``(*runs, read)`` for ascending, distinct cells of a row:
+    ``read(cells, byte offset of the row)`` unpacks them in that order, one
+    int a cell, or with ``whole`` a run of two or more adjacent cells as one
+    bytes object, and each run holds the cells of one item read, as a range
+    kept once in ``ranges``."""
+    fmt, runs, end, start = [], [], 0, None
+    for p, following in zip(distinct, [*distinct[1:], None]):
+        if start is None:
+            start = p
+        if following == p + 1:
+            continue
+        size = p + 1 - start
+        code = f"{size * _CELL}s" if whole and size > 1 else f"{size}i"
+        fmt.append(f"{(start - end) * _CELL}x{code}")
+        runs.append(ranges.setdefault(run := range(start, p + 1), run))
+        end, start = p + 1, None
+    return (*runs, Struct("".join(fmt)).unpack_from)
+
+
 def _gather(positions: list[int]):
     """``(read, order)``: ``read(cells, byte offset of a row)`` unpacks the row's
     distinct ``positions`` in sorted order, a run of adjacent cells as one ``Ni``
     code; ``order`` maps them to ``positions``' order, None where that is sorted."""
     distinct = sorted(set(positions))
-    fmt, end = [], 0
-    for _, run in groupby(enumerate(distinct), lambda ip: ip[1] - ip[0]):
-        run = [p for _, p in run]
-        fmt.append(f"{(run[0] - end) * _CELL}x{len(run)}i")
-        end = run[-1] + 1
     at = {p: i for i, p in enumerate(distinct)}.__getitem__
     order = itemgetter(*map(at, positions)) if distinct != list(positions) else None
-    return Struct("".join(fmt)).unpack_from, order
+    return _reader(distinct, False, {})[-1], order
 
 
 def _relator_forms(P: Presentation):
@@ -170,27 +256,242 @@ def _relator_forms(P: Presentation):
     return IC, U, T, other
 
 
-def _table_forms(G: FiniteGroup, q: int):
-    """``_relator_forms`` of G's colimit presentation at q, off G's table.
-    Id b heads column b - 1, paired with b^-1's, and the other forms are the
-    words abc = 1 over non-identity a, b, c with b in ``partners(G, a, q)``: at
-    column a - 1, U holds b - 1 and T holds ab - 1, in increasing b."""
-    cols, inv = G.cayley_columns(), G._inv  # cols[b][a] == a * b
-    U, T = [], []
-    for a in range(1, G.order):
-        bs = partners(G, a, q)  # 1 first
-        i = bisect_left(bs, inv[a])
-        bs = bs[1:i] + bs[i + 1 :]  # less 1 and a^-1
-        U.append(array("i", [b - 1 for b in bs]))
-        T.append(array("i", [cols[b][a] - 1 for b in bs]))
-    return [b - 1 for b in inv[1:]], U, T, [()] * (G.order - 1)
+def _stabilizer(cols: list, P: array) -> list[int]:
+    """The subgroup {h : hP = P} of G, for a set P of ids that holds 1, so
+    that the subgroup lies in P.  An h of P joins when hp is in P for every
+    p of P (``cols[p][h]``); a miss mostly fails within the first few p.  The
+    group found so far is closed under right products by each new member, so
+    no member is tested twice, and at most log2 |P| tests pass."""
+    inP = bytearray(len(cols))
+    for p in P:
+        inP[p] = 1
+    Pcols = [cols[p] for p in P]
+    S, gens, inS = [0], [], bytearray(len(cols))
+    inS[0] = 1
+    for h in P:
+        if inS[h] or not all(map(inP.__getitem__, map(itemgetter(h), Pcols))):
+            continue
+        gens.append(h)
+        for x in S:  # the list grows while it is read
+            for g in gens:
+                if not inS[y := cols[g][x]]:
+                    inS[y] = 1
+                    S.append(y)
+    return S
+
+
+def _colimit_enumeration(P: ColimitPresentation, limit: int,
+                         seed: Optional[tuple[array, array]] = None) -> CosetTable:
+    """``todd_coxeter`` of a colimit presentation, in epsilon-coordinates (see
+    the module docstring).  ``seed`` is ``(cells, epsilon)`` of a partial
+    table, in those coordinates, to close instead of coset 0 alone: its
+    filled cells are queued as deductions.  A coincidence of two cosets with
+    different images, which a seed alone can cause, raises RuntimeError."""
+    G, q = P.group, P.q
+    cols, inv, n = G.cayley_columns(), G._inv, G.order
+    NB = n * _CELL  # bytes a coset
+    # plan_of[g][E] is the plan, ``_reader``'s (*runs, read), of the slots
+    # E P(g).  It is built when a first edge asks for it and shared by the
+    # left coset of E modulo the stabilizer S of P(g); None until then.  The
+    # empty plan () is for the slot of a coset itself and for a set {1, g},
+    # which makes no form.
+    plan_of: list[list] = [[()] * n]
+    source: list = [None]  # source[g]: [P(g), the columns of S or None]
+    records: dict[bytes, tuple] = {}
+    ranges: dict[range, range] = {}  # one copy of each run of slots
+    for g in range(1, n):
+        Pg = partners(G, g, q)
+        if (r := records.get(key := Pg.tobytes())) is None:
+            r = records[key] = ([None] * n if len(Pg) > 2 else plan_of[0], [Pg, None])
+        plan_of.append(r[0])
+        source.append(r[1])
+
+    def assign(g: int, E: int) -> tuple:
+        """Build the plan of the slots E P(g) and share it over E's left coset."""
+        src = source[g]
+        if src[1] is None:
+            src[1] = [cols[x] for x in (src[0] if q == 2 else _stabilizer(cols, src[0]))]
+        plan = _reader(sorted(map(getitem, map(cols.__getitem__, src[0]), repeat(E))), True, ranges)
+        shared = plan_of[g]
+        for x in map(itemgetter(E), src[1]):  # the left coset E S: E x = cols[x][E]
+            shared[x] = plan
+        return plan
+
+    # per generator g tried, in the order +1, -1, +2, ...: (g, the column that
+    # gives its slot E g at a coset with image E, its plans)
+    steps = [(g, cols[g], plan_of[g]) for g in dict.fromkeys(
+        c for g in range(1, n) for c in (g, inv[g]))]
+    gcols = cols[1:]  # coincidences walk the slots E g in generator order
+    blank = array("i", [-1]) * n
+    block = blank * 64
+    if seed is None:
+        cells, eps = blank[:], array("h", [0])
+        cells[0] = 0
+    else:
+        cells, eps = array("i", seed[0]), array("h", seed[1])
+    # a coset x merged into a smaller one is dead: eps[x] is then ~eps(x) < 0
+    fwd: dict[int, int] = {}  # dead coset -> a coset it was merged into
+    # deduction stack of cells x * n + h, h != eps(x)
+    ded = [e for e, y in enumerate(cells) if y != -1 and e % n != eps[e // n]]
+
+    def rep(x: int) -> int:
+        while eps[x] < 0:  # with path halving
+            y = fwd[x]
+            fwd[x] = x = fwd.get(y, y)
+        return x
+
+    def coincidence(a: int, b: int):
+        queue: list[int] = []
+
+        def merge(x: int, y: int):
+            x, y = rep(x), rep(y)
+            if x == y:
+                return
+            if eps[x] != eps[y]:
+                raise RuntimeError(f"cosets {x} and {y} coincide but have different images in G")
+            if x > y:
+                x, y = y, x
+            eps[y], fwd[y] = ~eps[y], x
+            queue.append(y)
+
+        merge(a, b)
+        for g in queue:  # the list grows while it is read
+            E, gN = ~eps[g], g * n
+            for h in map(itemgetter(E), gcols):
+                d = cells[gN + h]
+                if d == -1:
+                    continue
+                cells[gN + h] = -1
+                cells[d * n + E] = -1
+                mu = rep(g)
+                nu = rep(d)
+                xi = cells[mu * n + h]
+                if xi != -1:
+                    merge(nu, xi)
+                else:
+                    ze = cells[nu * n + E]
+                    if ze != -1:
+                        merge(mu, ze)
+                    else:
+                        cells[mu * n + h] = nu
+                        cells[nu * n + E] = mu
+                        ded.append(mu * n + h)
+
+    def scan(alpha: int, F: int, beta: int, plan: tuple, xs: tuple, ys: tuple):
+        """Scan the edge alpha -> beta, F = eps(beta), against its forms,
+        given the reads xs of alpha and ys of beta by its plan, which differ.
+
+        A form's slot s gives nothing exactly when z = beta's cell equals
+        t = alpha's: paired cells are written together, so z's slot eps(alpha)
+        holds alpha iff t = z.  Only the items whose reads differ are walked
+        (a form that a fill here makes fillable is met again by the scan of
+        that fill).  A coincidence alone can kill alpha or move the edge, so
+        the scan bails out after one; re-homed edges are re-pushed by the
+        merge queue.
+        """
+        E, aN, bN = eps[alpha], alpha * n, beta * n
+        for run in compress(plan, map(ne, xs, ys)):  # stops before plan's read
+            for s in run:
+                z, t = cells[bN + s], cells[aN + s]  # a fill above may have set them
+                if z == t:
+                    continue
+                if z != -1:
+                    if (w := cells[z * n + E]) != -1:
+                        coincidence(w, alpha)
+                    elif t != -1:
+                        coincidence(z, t)
+                    else:
+                        cells[z * n + E] = alpha
+                        cells[aN + s] = z
+                        ded.append(z * n + E)
+                        continue
+                elif (m := cells[t * n + F]) != -1:
+                    coincidence(beta, m)
+                else:
+                    cells[bN + s] = t
+                    cells[t * n + F] = beta
+                    ded.append(bN + s)
+                    continue
+                if eps[alpha] < 0 or cells[aN + F] != beta:
+                    return
+
+    # cosets defined, and the rows of cells and images, grown 64 at a time
+    top = room = len(eps)
+    exceeded = False
+    restart = 0
+    while not exceeded:
+        # for, not while: see _relator_enumeration
+        for alpha in count(restart):
+            if alpha >= top or exceeded:
+                break
+            if (E := eps[alpha]) < 0:
+                continue
+            aN = alpha * n
+            for g, col, shared in steps:
+                s = col[E]
+                while cells[aN + s] == -1 and eps[alpha] >= 0:
+                    beta = top
+                    if beta >= limit:
+                        exceeded = True
+                        break
+                    top += 1
+                    if beta == room:  # grow by a block of blank rows, never past the limit
+                        room = min(limit, beta + 64)
+                        cells.extend(block if room - beta == 64 else blank * (room - beta))
+                        eps.extend(repeat(0, room - beta))
+                    eps[beta] = s
+                    bN = beta * n
+                    cells[aN + s] = cells[bN + s] = beta
+                    cells[bN + E] = alpha
+                    if (plan := shared[E]) is None:
+                        plan = assign(g, E)
+                    if plan and (xs := (read := plan[-1])(cells, aN * _CELL)) != (
+                            ys := read(cells, beta * NB)):
+                        scan(alpha, s, beta, plan, xs, ys)
+                    while ded:
+                        a, h = divmod(e := ded.pop(), n)
+                        if (b := cells[e]) == -1 or (A := eps[a]) < 0:
+                            continue
+                        if (plan := plan_of[c := cols[h][inv[A]]][A]) is None:
+                            plan = assign(c, A)
+                        if plan and (xs := (read := plan[-1])(cells, a * NB)) != (
+                                ys := read(cells, b * NB)):
+                            scan(a, h, b, plan, xs, ys)
+                if eps[alpha] < 0 or exceeded:
+                    break
+        if exceeded:
+            break
+        # coincidences can transiently erase cells of cosets already passed;
+        # rescan until a full pass finds every live coset complete
+        restart = next((x for x in range(top) if eps[x] >= 0
+                        and -1 in cells[x * n : x * n + n]), None)
+        if restart is None:
+            break
+
+    high_water = top
+    del cells[high_water * n :], eps[high_water:]
+    if fwd:
+        live = [x for x in range(high_water) if eps[x] >= 0]
+        _keep(cells, live, n)
+        eps = array("h", map(eps.__getitem__, live))
+    IC = [g - 1 for g in inv[1:]]
+    if exceeded:
+        return _table(P, True, high_water, limit, cells, IC, len(fwd), eps)
+    _to_generator_columns(cells, eps, cols)
+    return _table(P, False, high_water, limit, cells, IC, len(fwd))
 
 
 def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTable:
     if limit < 1:
         raise ValueError(f"coset limit must be >= 1, got {limit}")
-    colimit = isinstance(P, ColimitPresentation)
-    IC, U, T, other = _table_forms(P.group, P.q) if colimit else _relator_forms(P)
+    if isinstance(P, ColimitPresentation):
+        return _colimit_enumeration(P, limit)
+    return _relator_enumeration(P, limit)
+
+
+def _relator_enumeration(P: Presentation, limit: int) -> CosetTable:
+    """``todd_coxeter`` of any presentation, read relator by relator."""
+    IC, U, T, other = _relator_forms(P)
     W = len(IC)
     # columns in definition order: those of +1, -1, +2, -2, ...
     order = list(dict.fromkeys(c for j in range(P.num_generators) for c in (j, IC[j])))
@@ -377,21 +678,5 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
 
     high_water = len(dead)
     if fwd:  # compress live cosets in place, keeping their order (0 stays 0)
-        live = array("i", (x for x in range(high_water) if not dead[x]))
-        renum = array("i", [-1]) * (high_water + 1)  # renum[-1] keeps -1 cells
-        for new, old in enumerate(live):
-            renum[old] = new
-        for new, old in enumerate(live):
-            row = cells[old * W : old * W + W]
-            cells[new * W : new * W + W] = array("i", map(renum.__getitem__, row))
-        del cells[len(live) * W :]
-    return CosetTable(
-        presentation=P,
-        state=LIMIT_EXCEEDED if exceeded else CLOSED,
-        coset_count=high_water - len(fwd),
-        high_water=high_water,
-        limit=limit,
-        cells=cells,
-        width=W,
-        inverse_column=IC,
-    )
+        _keep(cells, [x for x in range(high_water) if not dead[x]], W)
+    return _table(P, exceeded, high_water, limit, cells, IC, len(fwd))

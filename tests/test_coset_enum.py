@@ -20,6 +20,7 @@ from nilcolim.coset_enum import (
     todd_coxeter,
     trace_word,
 )
+from nilcolim.groups import partners
 from nilcolim.permutations import format_cycles
 from nilcolim.presentations import Presentation, build_presentation
 
@@ -59,7 +60,7 @@ def _assert_closed_action(t, relators):
 def _assert_paired(t):
     """Every filled cell x.c = y has y.IC[c] = x, in a partial table too: the
     scan's gather skips a form whose two cells are equal on this ground."""
-    W, IC, cells = t.width, t.inverse_column, t.cells
+    W, IC, cells = t.width, t.inverse_column, t.generator_cells()
     assert len(cells) == t.coset_count * W
     for e, y in enumerate(cells):
         x, c = divmod(e, W)
@@ -190,10 +191,11 @@ def test_table_memory_per_cell():
 
 
 def test_table_memory_per_coset():
-    """Peak Python allocation of a narrow table (5 columns, 20 bytes of cells
-    a coset) grown to its limit: a coset costs its cells and one liveness
-    byte, with no object of its own (an array('i') row and a boxed union-find
-    parent a coset took about 170 bytes a coset)."""
+    """Peak Python allocation of a narrow table (5 generator columns, kept
+    as 6 slots, 24 bytes of cells a coset) grown to its limit: a coset costs
+    its cells and a 2-byte image in G, with no object of its own (an
+    array('i') row and a boxed union-find parent a coset took about 170
+    bytes a coset)."""
     t, peak = _traced_peak(build_presentation(build("sym:3"), 2), limit=100000)
     assert t.state == LIMIT_EXCEEDED and t.width == 5 and t.high_water == 100000
     assert peak <= 32 * t.high_water
@@ -232,7 +234,7 @@ FROZEN = {
 def _cells(t):
     """Every cell of the table, coset by coset, as one flat list of ints.  The
     digests hash this list, so they do not depend on how cells are stored."""
-    return list(t.cells)
+    return list(t.generator_cells())
 
 
 @pytest.mark.parametrize("name", list(FROZEN))
@@ -245,18 +247,79 @@ def test_frozen_table(name):
     assert hashlib.sha256(frozen.encode()).hexdigest() == digest
 
 
+# -- coincidences in epsilon-coordinates ------------------------------------------
+
+def _seed(G, eps, edges):
+    """A partial colimit table in epsilon-coordinates: coset x has image
+    eps[x] and holds itself in its slot eps[x]; each (x, slot, y) fills the
+    slot of row x with y (consistent only when slot = eps[y])."""
+    n = G.order
+    cells = array("i", [-1]) * (len(eps) * n)
+    for x, e in enumerate(eps):
+        cells[x * n + e] = x
+    for x, slot, y in edges:
+        cells[x * n + slot] = y
+    return cells, eps
+
+
+@pytest.mark.parametrize("spec,q", [("extraspecial:2:2", 2), ("quaternion", 3)])
+def test_seeded_duplicate_coset_merges_to_the_frozen_table(spec, q):
+    """No colimit run has met a coincidence, so one is seeded: cosets 1 and 2
+    are 0.(b) and 0.(bc), the first two definitions of a run, and coset 3 is
+    1.(c), a second copy of 0.(bc) as b and c commute.  Closing the seed
+    merges 3 into 2, and the table is the frozen one with one more coset
+    defined."""
+    G = build(spec)
+    P = build_presentation(G, q)
+    inv = [G.inverse(x) for x in range(G.order)]
+    b, bc = list(dict.fromkeys(y for x in range(1, G.order) for y in (x, inv[x])))[:2]
+    c = G.multiply(inv[b], bc)
+    assert G.multiply(b, c) == G.multiply(c, b)
+    cells, eps = _seed(G, [0, b, bc, bc], [(0, b, 1), (1, 0, 0), (0, bc, 2), (2, 0, 0),
+                                           (1, bc, 3), (3, b, 1)])
+    t = coset_enum._colimit_enumeration(P, 10 ** 6, seed=(cells, eps))
+    assert t.closed and t.high_water == t.coset_count + 1
+    frozen = repr((t.state, t.coset_count, t.high_water - 1, t.inverse_column, _cells(t)))
+    assert hashlib.sha256(frozen.encode()).hexdigest() == FROZEN[f"{spec} q={q}"][1]
+    _assert_closed_action(t, _every_pair_relator(G) if q == 2 else P.relators)
+
+
+def test_coincidence_across_images_raises():
+    """Two cosets merge only if the counit maps them to one element.  A seed
+    with 0 --a--> 1 --b--> 2 whose row 2 names, as 2.(b^-1 a^-1), a coset 3
+    whose image is not 1 forces the scan of 0 --a--> 1 to merge 3 with 0."""
+    G = build("extraspecial:2:2")
+    P = build_presentation(G, 2)
+    a = 1
+    b = next(x for x in partners(G, a, 2) if x not in (0, G.inverse(a)))
+    ab = G.multiply(a, b)
+    y = next(x for x in range(1, G.order) if x not in (a, ab))
+    seed = _seed(G, [0, a, ab, y], [(0, a, 1), (1, 0, 0), (1, ab, 2), (2, a, 1),
+                                   (2, 0, 3), (3, ab, 2)])
+    with pytest.raises(RuntimeError, match="different images"):
+        coset_enum._colimit_enumeration(P, 10 ** 6, seed=seed)
+
+
 # -- colimit forms read off the Cayley table -----------------------------------
 
 def _assert_forms_agree(P):
-    """The forms ``todd_coxeter`` reads off the Cayley table of a colimit
-    presentation are the ones its relators give, column for column and in
-    the same order, and every form has length 3."""
-    IC, U, T, other = coset_enum._table_forms(P.group, P.q)
-    rIC, rU, rT, rother = coset_enum._relator_forms(P)
-    assert IC == rIC and len(IC) == P.num_generators
-    assert all(isinstance(f, array) for f in U + T)
-    assert [list(u) for u in U] == rU and [list(t) for t in T] == rT
-    assert not any(other) and not any(rother)
+    """The forms that the epsilon-coordinate enumeration reads off the pair
+    gate, (a)(b)(ab)^-1 for b in ``partners(G, a, q)`` less 1 and a^-1, are
+    the ones the presentation's relators give, column for column and in the
+    same order, and every form has length 3.  The gathers of a scan are
+    shared per left coset of the stabilizer of P(a) = ``partners(G, a, q)``,
+    so a P(a) = P(a) must hold too."""
+    G = P.group
+    inv = [G.inverse(x) for x in range(G.order)]
+    IC, U, T, other = coset_enum._relator_forms(P)
+    assert IC == [x - 1 for x in inv[1:]]
+    for a in range(1, G.order):
+        Pa = list(partners(G, a, P.q))
+        assert sorted(G.multiply(a, b) for b in Pa) == Pa
+        bs = [b for b in Pa if b not in (0, inv[a])]
+        assert U[a - 1] == [b - 1 for b in bs]
+        assert T[a - 1] == [G.multiply(a, b) - 1 for b in bs]
+    assert not any(other)
 
 
 @pytest.mark.parametrize("spec", [
@@ -462,10 +525,12 @@ def test_trace_words():
 
 
 def test_trace_rejects_bad_generator():
+    """Letters past +-3, and 0, name no generator of cyclic:4's presentation."""
     G = build("cyclic:4")
     t = todd_coxeter(build_presentation(G, 2))
-    with pytest.raises(ValueError):
-        trace_word(t, (9,))
+    for word in [(9,), (0,), (-9,), (1, 4)]:
+        with pytest.raises(ValueError):
+            trace_word(t, word)
 
 
 def test_trivial_presentation_closes_instantly():

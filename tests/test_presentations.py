@@ -3,11 +3,12 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nilcolim import build, presented_h1, todd_coxeter
-from nilcolim.groups import TABLE_MAX_ORDER, GroupTooLargeError
+from nilcolim.budgets import DEFAULT_COSET_LIMIT
+from nilcolim.groups import TABLE_MAX_ORDER, GroupTooLargeError, class_below
 from nilcolim.permutations import format_cycles
 from nilcolim.presentations import (
     Presentation,
@@ -21,6 +22,7 @@ from nilcolim.presentations import (
 )
 
 import oracles as O
+from test_coset_enum import _colimit_specs
 
 
 def _relator_pair(G, w):
@@ -212,7 +214,8 @@ def test_trivial_group_presentation():
 # -- one relator per class changes no answer -------------------------------------
 
 def _table_state(t):
-    return (t.state, t.coset_count, t.high_water, t.width, t.inverse_column, t.cells)
+    return (t.state, t.coset_count, t.high_water, t.width, t.inverse_column,
+            t.generator_cells())
 
 
 @pytest.mark.parametrize("spec,q", [
@@ -224,6 +227,23 @@ def test_full_relator_list_enumerates_the_same_table(spec, q):
     reduced = todd_coxeter(build_presentation(G, q), 2000)
     full = todd_coxeter(_full_presentation(G, q), 2000)
     assert _table_state(reduced) == _table_state(full)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_colimit_specs(), st.sampled_from([2, 3]))
+def test_epsilon_core_matches_the_relator_core_property(spec, q):
+    """A colimit presentation is enumerated in epsilon-coordinates off the
+    Cayley table; the same relators in a plain ``Presentation`` go through
+    the relator-by-relator core.  The two tables agree in state, counts and
+    every cell: at a small limit always, and at the default limit when G has
+    class < q, so that N_q(G) = G closes."""
+    G = build(spec)
+    assume(G.order <= 64)
+    P = build_presentation(G, q)
+    limits = [50, DEFAULT_COSET_LIMIT] if class_below(G, G.generators, q) else [50]
+    for limit in limits:
+        table = todd_coxeter(P, limit)
+        assert _table_state(table) == _table_state(todd_coxeter(Presentation(*P), limit))
 
 
 @pytest.mark.parametrize("spec,q", [
