@@ -95,6 +95,8 @@ def build_complex(
 ) -> ChainComplex:
     if dim_cap < 0:
         raise ValueError("dimension cap must be >= 0")
+    if max_simplices < 0:
+        raise ValueError(f"simplex budget must be >= 0, got {max_simplices}")
     bases: list[list[tuple[int, ...]]] = [[()]]
     for n in range(1, dim_cap + 1):
         bases.append(_simplices(G, q, n, max_simplices))

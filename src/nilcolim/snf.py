@@ -5,29 +5,31 @@ dict per row, and goes through two phases, over Python ints.
 
 1. Sparse unit-pivot elimination (after Dumas, Saunders & Villard, "On
    efficient sparse integer matrix Smith normal form computations", J.
-   Symbolic Comput. 32, 2001).  The rows are copied once, with a
-   column-to-rows index; empty rows and rows equal to an earlier one up to
-   sign are dropped, since the row lattice stays the same.  While some row
-   holds a +-1 entry, the shortest such row is taken, and in it the unit
-   entry whose column has the fewest entries (a Markowitz-style choice that
-   limits fill-in).  Exact integer row operations clear that column from
-   the other rows; then the pivot row and column are dropped.  Dropping
-   them is exact: once the column is clear, the column operations that
-   would clear the pivot row touch that row only, so
-   SNF(M) = 1 + SNF(M') with M' the remaining rows and columns.  Each pivot
-   adds one to the rank and leaves the torsion as it is.
+   Symbolic Comput. 32, 2001).  The rows are copied once, without empty
+   rows, rows equal to an earlier one up to sign (the row lattice stays the
+   same), and columns equal to an earlier one up to sign (adding or
+   subtracting a column from its copy is unimodular and leaves a zero
+   column).  While some row holds a +-1 entry, the shortest such row is
+   taken, and in it the unit entry whose column has the fewest entries (a
+   Markowitz-style choice that limits fill-in).  Exact integer row
+   operations clear that column from the other rows; then the pivot row and
+   column are dropped.  Dropping them is exact: once the column is clear,
+   the column operations that would clear the pivot row touch that row
+   only, so SNF(M) = 1 + SNF(M') with M' the remaining rows and columns.
 2. Dense core.  The rows left hold no unit entry.  They are made dense on
-   their nonzero columns only, again distinct up to sign, and dense
-   elimination over Python ints diagonalizes that small core; the divisors
-   are read off its diagonal (see ``_dense_snf``).
+   their nonzero columns, rows and then columns again distinct up to sign,
+   and diagonalized by dense elimination (see ``_dense_snf``).
 
-Boundary matrices and abelianized relator matrices are sparse with mostly
-unit entries, so the core is a small fraction of the input.
+Boundary and relator matrices are sparse with mostly unit entries, so the
+core is small: 35 x 15 for d_3 of extraspecial:2:2 (481 x 4,332 live
+columns), 7 x 379 for d_2 (127 x 8,065) and 412 x 7 for the relator matrix
+(1,450 x 127) of extraspecial:2:3.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
 from typing import NamedTuple
 from math import gcd
 
@@ -46,28 +48,31 @@ class SNFResult(NamedTuple):
 def smith_normal_form(rows: list[dict[int, int]]) -> SNFResult:
     """Rank and elementary divisors of the matrix whose rows are ``rows``.
 
-    Each row maps a column index to a nonzero value; the columns are the
-    ones the rows use.  ``rows`` is only read.  Repeated rows are dropped
-    when they list their columns in the same order, as the ascending rows of
-    the boundary and relator matrices do.
+    Each row maps a column index to a nonzero value; ``rows`` is only read.
+    Repeated rows are dropped when they list their columns in the same
+    order, as the ascending rows of the boundary and relator matrices do.
     """
-    sparse = [dict(items) for items in _distinct_rows(row.items() for row in rows)]
-    cols: dict[int, set[int]] = {}
-    for i, row in enumerate(sparse):
-        for j in row:
-            cols.setdefault(j, set()).add(i)
+    columns: dict[int, list[tuple[int, int]]] = {}
+    sparse: list[dict[int, int]] = []
+    for i, items in enumerate(_distinct_rows(row.items() for row in rows)):
+        sparse.append({})
+        for j, v in items:
+            columns.setdefault(j, []).append((i, v))
+    cols: list = list(_distinct_rows(columns.pop(j) for j in sorted(columns)))
+    for j, col in enumerate(cols):
+        for i, v in col:
+            sparse[i][j] = v
+        cols[j] = {i for i, _ in col}  # the holder set replaces the column
     pivots = _eliminate_unit_pivots(sparse, cols)
     core = _dense_snf(_residual_core(sparse, cols))
     return SNFResult(pivots + core.rank, core.torsion)
 
 
 def _distinct_rows(rows):
-    """Each nonempty row unequal to an earlier one up to sign, as an item tuple.
-
-    Rows are given as (column, value) sequences and compared as such, so
-    two rows count as equal only when they list their columns in the same
-    order.  Values are negated where needed so the first is positive.
-    """
+    """Each nonempty (column, value) sequence unequal to an earlier one up to
+    sign, as a tuple with its first value made positive.  Sequences compare
+    as given, so two count as equal only when they list their columns in the
+    same order: a matrix column is one, listing its (row, value) pairs."""
     seen = set()
     for r in rows:
         items = tuple(r)
@@ -80,13 +85,23 @@ def _distinct_rows(rows):
             yield items
 
 
-def _has_unit(row: dict[int, int]) -> bool:
-    return any(v == 1 or v == -1 for v in row.values())
+def _distinct_dense(lines) -> list[tuple[int, ...]]:
+    """Each nonzero dense line unequal to an earlier one up to sign, first nonzero > 0."""
+    seen: dict[tuple[int, ...], None] = {}
+    for line in lines:
+        lead = next(filter(None, line), 0)
+        if lead:
+            seen.setdefault(line if lead > 0 else tuple([-x for x in line]))
+    return list(seen)
+
+
+def _has_unit(values) -> bool:
+    return 1 in values or -1 in values
 
 
 def _eliminate_unit_pivots(sparse, cols) -> int:
     """Eliminate +-1 pivots in place; dead rows become None.  Returns the count."""
-    heap = [(len(r), i) for i, r in enumerate(sparse) if _has_unit(r)]
+    heap = [(len(r), i) for i, r in enumerate(sparse) if _has_unit(r.values())]
     heapq.heapify(heap)
     pivots = 0
     while heap:
@@ -115,7 +130,7 @@ def _eliminate_unit_pivots(sparse, cols) -> int:
                 else:
                     del row[j]
                     cols[j].discard(i)
-            if _has_unit(row):
+            if _has_unit(row.values()):
                 heapq.heappush(heap, (len(row), i))
         sparse[r] = None
         pivots += 1
@@ -123,10 +138,10 @@ def _eliminate_unit_pivots(sparse, cols) -> int:
 
 
 def _residual_core(sparse, cols) -> list[list[int]]:
-    """Dense rows of what elimination left: nonzero columns, distinct rows up to sign."""
-    live = sorted(j for j, holders in cols.items() if holders)
-    distinct = _distinct_rows(sorted(row.items()) for row in sparse if row)
-    return [[row.get(j, 0) for j in live] for row in map(dict, distinct)]
+    """The rows left, dense on the live columns, with rows then columns distinct up to sign."""
+    live = [j for j, holders in enumerate(cols) if holders]
+    rows = _distinct_dense(tuple(map(r.get, live, repeat(0))) for r in sparse if r)
+    return [list(r) for r in zip(*_distinct_dense(zip(*rows)))]
 
 
 def _dense_snf(m: list[list[int]]) -> SNFResult:

@@ -214,6 +214,15 @@ def test_budget_refusal():
         build_complex(build("extraspecial:2:2"), 2, 2, max_simplices=100)
 
 
+def test_negative_budget_is_rejected_and_zero_is_legal():
+    G = build("extraspecial:2:2")
+    with pytest.raises(ValueError, match="simplex budget must be >= 0, got -5"):
+        build_complex(G, 2, 1, max_simplices=-5)
+    assert build_complex(build("cyclic:1"), 2, 2, max_simplices=0).bases == [[()], [], []]
+    with pytest.raises(BudgetExceededError):
+        build_complex(G, 2, 1, max_simplices=0)
+
+
 # -- homology ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("spec", SUITE)

@@ -269,6 +269,13 @@ def test_homology_budget_error(capsys):
                  "--max-simplices", "10"]) == 1
 
 
+def test_negative_simplex_budget_is_input_error(capsys):
+    assert main(["homology", "extraspecial:2:2", "--max-simplices", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: simplex budget must be >= 0, got -5" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["homology", "sym:3", "--q", "1", "--dim", "1"],
     ["hom-count", "cyclic:3", "--q", "1"],

@@ -82,7 +82,8 @@ def test_matches_sympy_invariant_factors():
 @st.composite
 def _sparse_matrices(draw):
     """Mostly-zero matrices like boundary and relator matrices, with the
-    zero rows and columns and the repeated and negated rows they carry."""
+    zero rows and columns and the repeated and negated rows and columns
+    they carry."""
     nr, nc = draw(st.integers(1, 30)), draw(st.integers(1, 40))
     # (2, -2): no unit entry at all, so the dense core does everything
     values = draw(st.sampled_from([(1, -1, 2, -2), (1, -1, 1, -1, 2, -2), (2, -2)]))
@@ -95,6 +96,11 @@ def _sparse_matrices(draw):
     for j in rng.sample(range(nc), rng.randrange(nc // 4 + 1)):
         for row in m:
             row[j] = 0
+    for _ in range(rng.randrange(5)):
+        j, sign = rng.randrange(nc), rng.choice((1, -1))
+        for row in m:
+            row.append(sign * row[j])
+    nc = len(m[0])
     for _ in range(rng.randrange(5)):
         row = rng.choice(m)
         m.append(list(row) if rng.random() < 0.5 else [-x for x in row])
@@ -114,6 +120,34 @@ def test_sparse_matrices_match_sympy_and_the_dense_core(m):
     assert res.rank == len(oracle)
     assert list(res.torsion) == [d for d in oracle if d > 1]
     assert _dense_snf([row[:] for row in m]) == res
+
+
+def _up_to_sign(line):
+    line = tuple(line)
+    return max(line, tuple(-x for x in line))
+
+
+def test_dense_core_gets_distinct_rows_and_columns(monkeypatch):
+    """The boundary matrices repeat columns, and elimination leaves more
+    repeats; the dense core receives none of them, and no zero line."""
+    from nilcolim import build, snf
+    from nilcolim.bar_complex import build_complex
+
+    cores = []
+
+    def record(m):
+        cores.append([row[:] for row in m])
+        return _dense_snf(m)
+
+    monkeypatch.setattr(snf, "_dense_snf", record)
+    for spec, n in (("extraspecial:2:2", 3), ("extraspecial:2:3", 2)):
+        smith_normal_form(build_complex(build(spec), 2, n).boundary(n))
+    assert len(cores) == 2 and all(cores)
+    for m in cores:
+        for lines in (m, list(zip(*m))):
+            keys = [_up_to_sign(line) for line in lines]
+            assert len(set(keys)) == len(keys)
+            assert all(any(key) for key in keys)
 
 
 def _unimodular_conjugate(rng, d):
