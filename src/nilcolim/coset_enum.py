@@ -35,10 +35,10 @@ alpha.s = beta is scanned once, from alpha, against every relator rotation
 inverse are all present, so a scan from beta would walk the same cycles.  As
 ACE does for involutions, generators a, b > 0 that are each other's only
 partner in a relator (a)(b) or (b)(a) share a column pair and those relators
-are dropped; any other generator keeps a formal inverse column.  Forms of
-length 3 are gathered per column with one ``struct`` read a side (see
-``scan_edge``); other lengths use a generic two-ended scan.  Merged cosets
-are flagged in a ``bytearray``.
+are dropped; any other generator keeps a formal inverse column.  Each form
+is walked by the plain two-ended Felsch scan (Holt, Eick & O'Brien,
+*Handbook of Computational Group Theory*, section 5.2).  Merged cosets are
+flagged in a ``bytearray``.
 """
 
 from __future__ import annotations
@@ -183,12 +183,12 @@ def _to_generator_columns(cells: array, eps: array, cols: list) -> None:
     del cells[len(eps) * W :]
 
 
-def _reader(distinct: list[int], whole: bool, ranges: dict) -> tuple:
+def _reader(distinct: list[int], ranges: dict) -> tuple:
     """``(*runs, read)`` for ascending, distinct cells of a row:
-    ``read(cells, byte offset of the row)`` unpacks them in that order, one
-    int a cell, or with ``whole`` a run of two or more adjacent cells as one
-    bytes object, and each run holds the cells of one item read, as a range
-    kept once in ``ranges``."""
+    ``read(cells, byte offset of the row)`` unpacks them in that order, a lone
+    cell as an int and a run of two or more adjacent cells as one bytes
+    object, and each run holds the cells of one item read, as a range kept
+    once in ``ranges``."""
     fmt, runs, end, start = [], [], 0, None
     for p, following in zip(distinct, [*distinct[1:], None]):
         if start is None:
@@ -196,28 +196,18 @@ def _reader(distinct: list[int], whole: bool, ranges: dict) -> tuple:
         if following == p + 1:
             continue
         size = p + 1 - start
-        code = f"{size * _CELL}s" if whole and size > 1 else f"{size}i"
+        code = f"{size * _CELL}s" if size > 1 else "i"
         fmt.append(f"{(start - end) * _CELL}x{code}")
         runs.append(ranges.setdefault(run := range(start, p + 1), run))
         end, start = p + 1, None
     return (*runs, Struct("".join(fmt)).unpack_from)
 
 
-def _gather(positions: list[int]):
-    """``(read, order)``: ``read(cells, byte offset of a row)`` unpacks the row's
-    distinct ``positions`` in sorted order, a run of adjacent cells as one ``Ni``
-    code; ``order`` maps them to ``positions``' order, None where that is sorted."""
-    distinct = sorted(set(positions))
-    at = {p: i for i, p in enumerate(distinct)}.__getitem__
-    order = itemgetter(*map(at, positions)) if distinct != list(positions) else None
-    return _reader(distinct, False, {})[-1], order
-
-
 def _relator_forms(P: Presentation):
-    """``(IC, U, T, other)``: the inverse-column map (see ``CosetTable``) and,
-    per first column s, the sorted forms (s, u, v) of the relators left after
-    pairing generators a, b > 0 that are each other's only partner in a relator
-    (a)(b) or (b)(a): U[s] = [u, ...], T[s] = [IC[v], ...], other lengths as words."""
+    """``(IC, forms)``: the inverse-column map (see ``CosetTable``) and, per
+    first column s, the sorted forms, as column words, of the relators left
+    after pairing generators a, b > 0 that are each other's only partner in a
+    relator (a)(b) or (b)(a)."""
     k = P.num_generators
     letters = set(range(-k, k + 1)) - {0}
     partners: list[set[int]] = [set() for _ in range(k + 1)]
@@ -246,14 +236,10 @@ def _relator_forms(P: Presentation):
         for word in (cols, inv):
             for shift in range(len(word)):
                 forms.add(word[shift:] + word[:shift])
-    U, T, other = ([[] for _ in range(W)] for _ in range(3))
+    by_column: list[list[tuple[int, ...]]] = [[] for _ in range(W)]
     for f in sorted(forms):
-        if len(f) == 3:
-            U[f[0]].append(f[1])
-            T[f[0]].append(IC[f[2]])
-        else:
-            other[f[0]].append(f)
-    return IC, U, T, other
+        by_column[f[0]].append(f)
+    return IC, by_column
 
 
 def _stabilizer(cols: list, P: array) -> list[int]:
@@ -311,7 +297,7 @@ def _colimit_enumeration(P: ColimitPresentation, limit: int,
         src = source[g]
         if src[1] is None:
             src[1] = [cols[x] for x in (src[0] if q == 2 else _stabilizer(cols, src[0]))]
-        plan = _reader(sorted(map(getitem, map(cols.__getitem__, src[0]), repeat(E))), True, ranges)
+        plan = _reader(sorted(map(getitem, map(cols.__getitem__, src[0]), repeat(E))), ranges)
         shared = plan_of[g]
         for x in map(itemgetter(E), src[1]):  # the left coset E S: E x = cols[x][E]
             shared[x] = plan
@@ -482,6 +468,11 @@ def _colimit_enumeration(P: ColimitPresentation, limit: int,
 
 
 def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTable:
+    """Enumerate the cosets of the trivial subgroup.  A ``build_presentation``
+    result goes to the epsilon-coordinate core; any other ``Presentation`` is
+    scanned relator by relator.  At most ``limit`` cosets are defined, merged
+    ones included; a run that needs more returns a ``LIMIT_EXCEEDED`` table.
+    Raises ValueError for a limit below 1 or a relator letter outside +-1..k."""
     if limit < 1:
         raise ValueError(f"coset limit must be >= 1, got {limit}")
     if isinstance(P, ColimitPresentation):
@@ -491,16 +482,11 @@ def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTabl
 
 def _relator_enumeration(P: Presentation, limit: int) -> CosetTable:
     """``todd_coxeter`` of any presentation, read relator by relator."""
-    IC, U, T, other = _relator_forms(P)
+    IC, forms = _relator_forms(P)
     W = len(IC)
     # columns in definition order: those of +1, -1, +2, -2, ...
     order = list(dict.fromkeys(c for j in range(P.num_generators) for c in (j, IC[j])))
-    # per first column s: its length-3 forms as struct gathers, the rest as
-    # words; None for a column with no forms, whose scan could change nothing
-    plan = [(*_gather(u), *_gather(t), u, t, r) if u or r else None
-            for u, t, r in zip(U, T, other)]
 
-    WB = W * _CELL  # bytes a coset
     blank = array("i", [-1]) * W
     cells = blank[:]
     dead = bytearray(1)  # dead[x]: x was merged into a smaller coset
@@ -585,51 +571,11 @@ def _relator_enumeration(P: Presentation, limit: int) -> CosetTable:
 
         One scan per deduction is enough: the forms are closed under rotation
         and inversion, so a form starting with IC[s] at beta walks the same
-        cycle, in reverse, as a form starting with s at alpha.  A form
-        (s, u, v) gives nothing exactly when z = beta.u equals t = alpha.IC[v]:
-        paired cells are written together, so z.v = alpha iff t = z.  Only
-        forms whose cells differ in the two ``_gather`` reads are visited (one
-        that a fill here makes fillable is met again by the scan of that fill).
-        A coincidence alone can kill alpha or move the edge, so the scan bails
-        out after one; re-homed edges are re-pushed by the merge queue.
+        cycle, in reverse, as a form starting with s at alpha.  A coincidence
+        alone can kill alpha or move the edge, so the scan bails out after
+        one; re-homed edges are re-pushed by the merge queue.
         """
-        read_u, order_u, read_t, order_t, us, tvs, rot = plan[s]
-        zs = read_u(cells, beta * WB)
-        ts = read_t(cells, alpha * WB)
-        if order_u:
-            zs = order_u(zs)
-        if order_t:
-            ts = order_t(ts)
-        if zs != ts:
-            aW, bW = alpha * W, beta * W
-            for i in compress(range(len(us)), map(ne, zs, ts)):
-                u, tv = us[i], tvs[i]
-                z, t = cells[bW + u], cells[aW + tv]  # a fill above may have set them
-                if z == t:
-                    continue
-                if z != -1:
-                    v = IC[tv]
-                    if (w0 := cells[z * W + v]) != -1:
-                        coincidence(w0, alpha)
-                    elif t != -1:
-                        coincidence(z, t)
-                    else:
-                        cells[z * W + v] = alpha
-                        cells[aW + tv] = z
-                        ded.append(z * W + v)
-                        continue
-                else:
-                    m = cells[t * W + IC[u]]
-                    if m != -1:
-                        coincidence(beta, m)
-                    else:
-                        cells[bW + u] = t
-                        cells[t * W + IC[u]] = beta
-                        ded.append(beta * W + u)
-                        continue
-                if dead[alpha] or cells[aW + s] != beta:
-                    return
-        for w in rot:
+        for w in forms[s]:
             scan_generic(alpha, w)
             if dead[alpha] or cells[alpha * W + s] != beta:
                 return
@@ -659,11 +605,10 @@ def _relator_enumeration(P: Presentation, limit: int) -> CosetTable:
                     cells.extend(blank)
                     cells[aW + s] = beta
                     cells[beta * W + IC[s]] = alpha
-                    if plan[s]:
-                        scan_edge(alpha, s, beta)
+                    scan_edge(alpha, s, beta)
                     while ded:
                         a, c = divmod(e := ded.pop(), W)
-                        if (b := cells[e]) != -1 and not dead[a] and plan[c]:
+                        if (b := cells[e]) != -1 and not dead[a]:
                             scan_edge(a, c, b)
                 else:
                     i += 1

@@ -16,7 +16,6 @@ from nilcolim import build, coset_enum
 from nilcolim.coset_enum import (
     LIMIT_EXCEEDED,
     TableNotClosedError,
-    _gather,
     todd_coxeter,
     trace_word,
 )
@@ -59,7 +58,8 @@ def _assert_closed_action(t, relators):
 
 def _assert_paired(t):
     """Every filled cell x.c = y has y.IC[c] = x, in a partial table too: the
-    scan's gather skips a form whose two cells are equal on this ground."""
+    epsilon-coordinate scan skips the slots where two rows agree on this
+    ground."""
     W, IC, cells = t.width, t.inverse_column, t.generator_cells()
     assert len(cells) == t.coset_count * W
     for e, y in enumerate(cells):
@@ -92,6 +92,13 @@ def test_fibonacci_f25_is_z11():
 
 
 F27_RELATORS = _fibonacci(7)
+
+# S3 with c = d = ab: the forms (1, 2, -3) and (1, 2, -4) start in one column
+# and share their middle letter
+S3_SHARED_MIDDLE = (4, [(1, 1), (2, 2), (1, 2, -3), (1, 2, -4), (1, 2, 1, 2, 1, 2)])
+# Z6 with c = ab = ba: the forms of column 0, in sorted order, end in
+# columns out of order
+Z6_PERMUTED_ENDS = (3, [(1, 2, -3), (2, 1, -3), (1, 1, 1), (2, 2)])
 
 
 @functools.cache
@@ -134,7 +141,7 @@ def test_free_group_hits_limit():
 
 
 @pytest.mark.parametrize("ngens,relators,order", [
-    # every column has exactly one length-3 form: its gathers have one index
+    # every column has exactly one form, of length 3
     (1, [(1, 1, 1)], 3),
     (2, [(1, 1, 1), (2, 2, 2), (1, 2, -1, -2)], 9),
 ])
@@ -210,6 +217,10 @@ FROZEN = {
                "a104648c668ec8f519b14b03f4cc1af7a5d759f5420a8af122b543bb15088298"),
     "collapse": (lambda: _manual(2, [(1, 2, -1, -2, -2), (2, 1, -2, -1, -1)]),
                  "48cf3210499d1ecb9e167ba5334b11291ca4f9a4b33b9d8d50e73b39cf5479f5"),
+    "S3 c=d=ab": (lambda: _manual(*S3_SHARED_MIDDLE),
+                  "3beb73333cd0b72b24c3ba3182427521d7c844924af35d247c914cb82545aabe"),
+    "Z6 c=ab=ba": (lambda: _manual(*Z6_PERMUTED_ENDS),
+                   "67bcea527d74bdb0691eea0b19d9b507b7b039f24a630c09f2e19a7974187af7"),
     "extraspecial:2:2 q=2": (
         lambda: todd_coxeter(build_presentation(build("extraspecial:2:2"), 2)),
         "d09ff832d186fbf2da292916b4ec341391a9b5c75c75015910d3f34c14a75a2c"),
@@ -311,15 +322,15 @@ def _assert_forms_agree(P):
     so a P(a) = P(a) must hold too."""
     G = P.group
     inv = [G.inverse(x) for x in range(G.order)]
-    IC, U, T, other = coset_enum._relator_forms(P)
-    assert IC == [x - 1 for x in inv[1:]]
+    IC, forms = coset_enum._relator_forms(P)
+    assert IC == [x - 1 for x in inv[1:]] and len(forms) == len(IC)
     for a in range(1, G.order):
         Pa = list(partners(G, a, P.q))
         assert sorted(G.multiply(a, b) for b in Pa) == Pa
         bs = [b for b in Pa if b not in (0, inv[a])]
-        assert U[a - 1] == [b - 1 for b in bs]
-        assert T[a - 1] == [G.multiply(a, b) - 1 for b in bs]
-    assert not any(other)
+        # the column word of (a)(b)(ab)^-1: ab's inverse column ends it
+        assert forms[a - 1] == [(a - 1, b - 1, IC[G.multiply(a, b) - 1]) for b in bs]
+    assert all(len(f) == 3 for column in forms for f in column)
 
 
 @pytest.mark.parametrize("spec", [
@@ -429,11 +440,17 @@ def test_repeated_relator_forms_change_nothing(ngens, relators, repeats):
     (3, [(1, 2), (1, 3), (1, 1, 1)], 3, [3, 4, 5, 0, 1, 2]),
     # no length-2 relators at all
     (2, [(1, 1, 1, 1), (1, 1, -2, -2), (2, 1, -2, 1)], 8, [2, 3, 0, 1]),
+    # involutions 1 and 2 keep one column each, 3 and 4 formal inverse columns;
+    # column 0's two forms share their middle letter
+    (*S3_SHARED_MIDDLE, 6, [0, 1, 4, 5, 2, 3]),
+    # the involution 2 keeps one column, 1 and 3 formal inverse columns
+    (*Z6_PERMUTED_ENDS, 6, [3, 1, 4, 0, 2]),
 ])
 def test_inverse_column_pairing(ngens, relators, order, ic):
     t = _manual(ngens, relators)
-    assert t.coset_count == order
+    assert t.coset_count == order == _sympy_order(ngens, relators)
     assert t.inverse_column == ic and t.width == len(ic)
+    _assert_paired(t)
     _assert_closed_action(t, relators)
     for j in range(1, ngens + 1):
         for x in range(order):
@@ -597,44 +614,6 @@ def _sympy_order(ngens, relators):
             r = r * (x[s - 1] if s > 0 else x[-s - 1] ** -1)
         rels.append(r)
     return FpGroup(F, rels).order()
-
-
-@pytest.mark.parametrize("positions", [
-    [], [4], [0, 1, 2, 5, 9], [3, 4, 8], [7, 3, 3, 8], [9, 0], [2, 2],
-])
-def test_gather_reads_any_positions(positions):
-    """A struct gather reads the sorted distinct cells of a row, adjacent runs
-    as one code; ``order`` repeats and permutes them into the asked order."""
-    cells = array("i", range(100, 130))  # three rows of width 10
-    for held in (positions, array("i", positions)):  # the table's forms are arrays
-        read, order = _gather(held)
-        assert (order is None) == (positions == sorted(set(positions)))
-        got = read(cells, 10 * cells.itemsize)
-        assert (order(got) if order else got) == tuple(cells[10 + p] for p in positions)
-
-
-@pytest.mark.parametrize("ngens,relators,shared_middle", [
-    # S3 with c = d = ab: the forms (1, 2, -3) and (1, 2, -4) start in one
-    # column and share their middle letter, so a U side reads a cell twice
-    (4, [(1, 1), (2, 2), (1, 2, -3), (1, 2, -4), (1, 2, 1, 2, 1, 2)], True),
-    # Z6 with c = ab = ba: every U side is sorted and distinct, but T sides
-    # (the third letters' inverse columns) are out of order
-    (3, [(1, 2, -3), (2, 1, -3), (1, 1, 1), (2, 2)], False),
-])
-def test_gathers_that_repeat_or_permute(monkeypatch, ngens, relators, shared_middle):
-    """Each column gathers its U side, then its T side: record both, check
-    that the presentation reaches the intended gather, and check the table."""
-    seen = []
-    real = coset_enum._gather
-    monkeypatch.setattr(coset_enum, "_gather", lambda p: seen.append(p) or real(p))
-    t = _manual(ngens, relators)
-    U, T = seen[0::2], seen[1::2]
-    assert any(len(set(u)) < len(u) for u in U) == shared_middle
-    assert all(u == sorted(u) for u in U)
-    assert any(v != sorted(set(v)) for v in T)
-    assert t.closed and t.coset_count == _sympy_order(ngens, relators)
-    _assert_paired(t)
-    _assert_closed_action(t, relators)
 
 
 def _product_spec(orders):
