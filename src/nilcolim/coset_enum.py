@@ -6,8 +6,8 @@ fill the first empty cell of a coset, trying the signed generators in the
 order +1, -1, +2, -2, ..., so runs are deterministic.  The table is one flat
 ``array('i')``, and a dict forwards each merged coset.
 
-A colimit presentation from ``build_presentation`` is enumerated in
-epsilon-coordinates, off G's Cayley table; its relators are never read.  A
+The colimit presentation from ``build_presentation`` is enumerated in
+epsilon-coordinates, off G's Cayley table; its relators are never built.  A
 coset x has an image eps(x) in G under the counit N_q(G) -> G, and an edge
 x.(g) = y has eps(y) = eps(x) g.  So row x holds one slot per element h of
 G: slot h holds the y = x.(eps(x)^-1 h), whose image is h, and slot eps(x)
@@ -28,17 +28,6 @@ every edge whose slots it covers shares it.  A merged coset keeps ~eps(x),
 a negative image.  A closed table is rewritten once, in place, to generator
 columns; one cut at its limit is left in epsilon-coordinates (see
 ``CosetTable.generator_cells``).
-
-Any other presentation is scanned relator by relator.  Each deduction
-alpha.s = beta is scanned once, from alpha, against every relator rotation
-(form) that starts with column s: the forms of every relator and of its
-inverse are all present, so a scan from beta would walk the same cycles.  As
-ACE does for involutions, generators a, b > 0 that are each other's only
-partner in a relator (a)(b) or (b)(a) share a column pair and those relators
-are dropped; any other generator keeps a formal inverse column.  Each form
-is walked by the plain two-ended Felsch scan (Holt, Eick & O'Brien,
-*Handbook of Computational Group Theory*, section 5.2).  Merged cosets are
-flagged in a ``bytearray``.
 """
 
 from __future__ import annotations
@@ -52,7 +41,7 @@ from typing import NamedTuple, Optional
 
 from .budgets import DEFAULT_COSET_LIMIT
 from .groups import partners
-from .presentations import ColimitPresentation, Presentation, Word
+from .presentations import Presentation, Word
 
 CLOSED = "closed"
 LIMIT_EXCEEDED = "limit-exceeded"
@@ -68,15 +57,15 @@ class CosetTable(NamedTuple):
 
     In generator columns, ``cells[x * width + c]`` is the target coset of x
     along column c (or -1 while partial).  Column j-1 carries generator j;
-    ``inverse_column[c]`` is the column that undoes column c: the paired
-    generator's column, c itself for an involution, or a formal inverse column
-    at index >= k.  Cells are paired: every filled x.c = y has
-    y.inverse_column[c] = x, in partial tables too.  ``letters`` maps each
-    signed generator to its column.  A colimit table cut at its limit stays
-    in the enumerator's epsilon-coordinates (see the module docstring):
-    ``epsilon[x]`` is the image of coset x in G, and ``cells`` holds
-    width + 1 slots a coset.  ``epsilon`` is None for a table in generator
-    columns, and ``generator_cells()`` reads either kind as generator columns.
+    ``inverse_column[c]`` is the column that undoes column c, that of the
+    inverse element (c itself for an involution).  Cells are paired: every
+    filled x.c = y has y.inverse_column[c] = x, in partial tables too.
+    ``letters`` maps each signed generator to its column.  A table cut at its
+    limit stays in the enumerator's epsilon-coordinates (see the module
+    docstring): ``epsilon[x]`` is the image of coset x in G, and ``cells``
+    holds width + 1 slots a coset.  ``epsilon`` is None for a table in
+    generator columns, and ``generator_cells()`` reads either kind as
+    generator columns.
     """
 
     presentation: Presentation
@@ -203,45 +192,6 @@ def _reader(distinct: list[int], ranges: dict) -> tuple:
     return (*runs, Struct("".join(fmt)).unpack_from)
 
 
-def _relator_forms(P: Presentation):
-    """``(IC, forms)``: the inverse-column map (see ``CosetTable``) and, per
-    first column s, the sorted forms, as column words, of the relators left
-    after pairing generators a, b > 0 that are each other's only partner in a
-    relator (a)(b) or (b)(a)."""
-    k = P.num_generators
-    letters = set(range(-k, k + 1)) - {0}
-    partners: list[set[int]] = [set() for _ in range(k + 1)]
-    for w in P.relators:
-        if not letters.issuperset(w):
-            raise ValueError(f"relator {w} has a letter outside +-1..{k}")
-        if len(w) == 2 and w[0] > 0 and w[1] > 0:
-            partners[w[0]].add(w[1])
-            partners[w[1]].add(w[0])
-    IC = [-1] * k
-    for j in range(1, k + 1):
-        (p,) = partners[j] if len(partners[j]) == 1 else (0,)
-        if p and partners[p] == {j}:
-            IC[j - 1] = p - 1
-        else:
-            IC[j - 1] = len(IC)
-            IC.append(j - 1)
-    W = len(IC)
-    col_of = [0, *range(k), *IC[k - 1 :: -1]]  # letter +-j at index +-j
-    forms: set[tuple[int, ...]] = set()
-    for w in P.relators:
-        cols = tuple(map(col_of.__getitem__, w))
-        if len(w) == 2 and w[0] > 0 and IC[w[0] - 1] == w[1] - 1:
-            continue
-        inv = tuple(map(IC.__getitem__, reversed(cols)))
-        for word in (cols, inv):
-            for shift in range(len(word)):
-                forms.add(word[shift:] + word[:shift])
-    by_column: list[list[tuple[int, ...]]] = [[] for _ in range(W)]
-    for f in sorted(forms):
-        by_column[f[0]].append(f)
-    return IC, by_column
-
-
 def _stabilizer(cols: list, P: array) -> list[int]:
     """The subgroup {h : hP = P} of G, for a set P of ids that holds 1, so
     that the subgroup lies in P.  An h of P joins when hp is in P for every
@@ -266,7 +216,7 @@ def _stabilizer(cols: list, P: array) -> list[int]:
     return S
 
 
-def _colimit_enumeration(P: ColimitPresentation, limit: int,
+def _colimit_enumeration(P: Presentation, limit: int,
                          seed: Optional[tuple[array, array]] = None) -> CosetTable:
     """``todd_coxeter`` of a colimit presentation, in epsilon-coordinates (see
     the module docstring).  ``seed`` is ``(cells, epsilon)`` of a partial
@@ -406,7 +356,8 @@ def _colimit_enumeration(P: ColimitPresentation, limit: int,
     exceeded = False
     restart = 0
     while not exceeded:
-        # for, not while: see _relator_enumeration
+        # for, not while: CPython 3.11 specializes code that runs once only
+        # after a few unconditional jumps back, and while loops jump on a test
         for alpha in count(restart):
             if alpha >= top or exceeded:
                 break
@@ -468,160 +419,10 @@ def _colimit_enumeration(P: ColimitPresentation, limit: int,
 
 
 def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTable:
-    """Enumerate the cosets of the trivial subgroup.  A ``build_presentation``
-    result goes to the epsilon-coordinate core; any other ``Presentation`` is
-    scanned relator by relator.  At most ``limit`` cosets are defined, merged
+    """Enumerate the cosets of the trivial subgroup in epsilon-coordinates
+    (see the module docstring).  At most ``limit`` cosets are defined, merged
     ones included; a run that needs more returns a ``LIMIT_EXCEEDED`` table.
-    Raises ValueError for a limit below 1 or a relator letter outside +-1..k."""
+    Raises ValueError for a limit below 1."""
     if limit < 1:
         raise ValueError(f"coset limit must be >= 1, got {limit}")
-    if isinstance(P, ColimitPresentation):
-        return _colimit_enumeration(P, limit)
-    return _relator_enumeration(P, limit)
-
-
-def _relator_enumeration(P: Presentation, limit: int) -> CosetTable:
-    """``todd_coxeter`` of any presentation, read relator by relator."""
-    IC, forms = _relator_forms(P)
-    W = len(IC)
-    # columns in definition order: those of +1, -1, +2, -2, ...
-    order = list(dict.fromkeys(c for j in range(P.num_generators) for c in (j, IC[j])))
-
-    blank = array("i", [-1]) * W
-    cells = blank[:]
-    dead = bytearray(1)  # dead[x]: x was merged into a smaller coset
-    fwd: dict[int, int] = {}  # dead coset -> a coset it was merged into
-    ded: list[int] = []  # deduction stack of cell indices alpha * W + s
-
-    def rep(x: int) -> int:
-        while dead[x]:  # with path halving
-            y = fwd[x]
-            fwd[x] = x = fwd.get(y, y)
-        return x
-
-    def coincidence(a: int, b: int):
-        queue: list[int] = []
-
-        def merge(x: int, y: int):
-            x, y = rep(x), rep(y)
-            if x == y:
-                return
-            if x > y:
-                x, y = y, x
-            dead[y], fwd[y] = 1, x
-            queue.append(y)
-
-        merge(a, b)
-        for g in queue:  # the list grows while it is read
-            for x in range(W):
-                d = cells[g * W + x]
-                if d == -1:
-                    continue
-                cells[g * W + x] = -1
-                cells[d * W + IC[x]] = -1
-                mu = rep(g)
-                nu = rep(d)
-                xi = cells[mu * W + x]
-                if xi != -1:
-                    merge(nu, xi)
-                else:
-                    ze = cells[nu * W + IC[x]]
-                    if ze != -1:
-                        merge(mu, ze)
-                    else:
-                        cells[mu * W + x] = nu
-                        cells[nu * W + IC[x]] = mu
-                        ded.append(mu * W + x)
-
-    def scan_generic(start: int, w: tuple[int, ...]):
-        L = len(w)
-        f = start
-        i = 0
-        while i < L:
-            nxt = cells[f * W + w[i]]
-            if nxt == -1:
-                break
-            f = nxt
-            i += 1
-        if i == L:
-            if f != start:
-                coincidence(f, start)
-            return
-        b = start
-        j = L - 1
-        while j >= i:
-            prv = cells[b * W + IC[w[j]]]
-            if prv == -1:
-                break
-            b = prv
-            j -= 1
-        if j < i:
-            coincidence(f, b)
-        elif j == i:
-            mate = cells[b * W + IC[w[i]]]
-            if mate == -1:
-                cells[f * W + w[i]] = b
-                cells[b * W + IC[w[i]]] = f
-                ded.append(f * W + w[i])
-            elif mate != f:
-                coincidence(f, mate)
-
-    def scan_edge(alpha: int, s: int, beta: int):
-        """Scan the deduction alpha.s = beta against every form starting with s.
-
-        One scan per deduction is enough: the forms are closed under rotation
-        and inversion, so a form starting with IC[s] at beta walks the same
-        cycle, in reverse, as a form starting with s at alpha.  A coincidence
-        alone can kill alpha or move the edge, so the scan bails out after
-        one; re-homed edges are re-pushed by the merge queue.
-        """
-        for w in forms[s]:
-            scan_generic(alpha, w)
-            if dead[alpha] or cells[alpha * W + s] != beta:
-                return
-
-    exceeded = False
-    restart = 0
-    while not exceeded:
-        # for, not while: CPython 3.11 specializes code that runs once only
-        # after a few unconditional jumps back, and while loops jump on a test
-        for alpha in count(restart):
-            if alpha >= len(dead) or exceeded:
-                break
-            if dead[alpha]:
-                continue
-            aW = alpha * W
-            i = 0
-            while i < W:
-                if dead[alpha]:
-                    break
-                s = order[i]
-                if cells[aW + s] == -1:
-                    beta = len(dead)
-                    if beta >= limit:
-                        exceeded = True
-                        break
-                    dead.append(0)
-                    cells.extend(blank)
-                    cells[aW + s] = beta
-                    cells[beta * W + IC[s]] = alpha
-                    scan_edge(alpha, s, beta)
-                    while ded:
-                        a, c = divmod(e := ded.pop(), W)
-                        if (b := cells[e]) != -1 and not dead[a]:
-                            scan_edge(a, c, b)
-                else:
-                    i += 1
-        if exceeded:
-            break
-        # coincidences can transiently erase cells of cosets already passed;
-        # rescan until a full pass finds every live coset complete
-        restart = next((x for x in range(len(dead)) if not dead[x]
-                        and -1 in cells[x * W : x * W + W]), None)
-        if restart is None:
-            break
-
-    high_water = len(dead)
-    if fwd:  # compress live cosets in place, keeping their order (0 stays 0)
-        _keep(cells, [x for x in range(high_water) if not dead[x]], W)
-    return _table(P, exceeded, high_water, limit, cells, IC, len(fwd))
+    return _colimit_enumeration(P, limit)

@@ -8,6 +8,8 @@ with k = gh.  The pairs (g, h), (h, k^-1), (k^-1, g), (h^-1, g^-1), (g^-1, k)
 and (k, h^-1) give one cyclic word up to rotation and inversion once (x^-1) is
 read as (x)^-1, as the length-2 relators say, so only the least is kept: the
 group is the same, and a map kills all pair relators iff it kills the kept ones.
+The relators are built on first read of ``Presentation.relators``: coset
+enumeration reads the pair gate off G's Cayley table and never builds them.
 
 Words are sequences of signed 1-based generator indices: +j for generator j,
 -j for its inverse.
@@ -16,47 +18,59 @@ Words are sequences of signed 1-based generator indices: +j for generator j,
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple
 
 from .groups import TABLE_MAX_ORDER, FiniteGroup, GroupTooLargeError, partners
 
 Word = tuple[int, ...]
 
 
-class Presentation(NamedTuple):
-    group: FiniteGroup
-    q: int
-    generators: tuple[int, ...]  # element ids, identity excluded
-    relators: list[Word]
+class Presentation:
+    """The colimit presentation of N_q(G), made by ``build_presentation``.
+
+    ``relators`` are built on first read and kept; the enumerator reads G's
+    Cayley table instead and never builds them."""
+
+    __slots__ = ("group", "q", "generators", "_relators")
+
+    def __init__(self, group: FiniteGroup, q: int):
+        self.group = group
+        self.q = q
+        self.generators = tuple(range(1, group.order))  # element ids, identity excluded
+        self._relators = None
 
     @property
     def num_generators(self) -> int:
         return len(self.generators)
 
+    @property
+    def relators(self) -> list[Word]:
+        if self._relators is None:
+            self._relators = _pair_relators(self.group, self.q)
+        return self._relators
+
     def __repr__(self):
-        return (
-            f"Presentation({getattr(self.group, 'label', None)}, q={self.q}, "
-            f"{self.num_generators} generators, {len(self.relators)} relators)"
-        )
-
-
-class ColimitPresentation(Presentation):
-    """``build_presentation``'s result: its forms are read off G's table."""
-
-    __slots__ = ()
+        """Names the relator count once they are built; never builds them."""
+        rels = "relators not built" if self._relators is None else f"{len(self._relators)} relators"
+        return (f"Presentation({self.group.label}, q={self.q}, "
+                f"{self.num_generators} generators, {rels})")
 
 
 def build_presentation(G: FiniteGroup, q: int) -> Presentation:
-    """The colimit presentation, scanned over G's Cayley table: exactly the
-    groups with a table can be presented."""
+    """The colimit presentation over G's Cayley table: exactly the groups
+    with a table can be presented.  Its relators are built on first read."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    cols = G.cayley_columns()  # cols[b][a] == a * b
-    if not cols:
+    if not G.cayley_columns():
         raise GroupTooLargeError(
             f"{G.label}: presentations are built for groups of order "
             f"<= {TABLE_MAX_ORDER}, got {G.order}"
         )
+    return Presentation(G, q)
+
+
+def _pair_relators(G: FiniteGroup, q: int) -> list[Word]:
+    """The kept pair relators, scanned over G's Cayley table."""
+    cols = G.cayley_columns()  # cols[b][a] == a * b
     n = G.order
     inv = list(map(G.inverse, range(n)))
     relators: list[Word] = []
@@ -74,7 +88,7 @@ def build_presentation(G: FiniteGroup, q: int) -> Presentation:
                 relators.append((g, h))
             elif (g, h) <= min((h, ki), (ki, g), (hi, gi), (gi, k), (k, hi)):
                 relators.append((-k, g, h))
-    return ColimitPresentation(G, q, tuple(range(1, n)), relators)
+    return relators
 
 
 def presentation_dumps(P: Presentation) -> str:

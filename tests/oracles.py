@@ -8,8 +8,10 @@ reduction) over anything shared with the production code paths they check.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from itertools import permutations, product
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +181,207 @@ def first_of_each_class(relators, inv):
             seen.add(key)
             out.append(w)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference coset enumeration, relator by relator (Holt, Eick & O'Brien,
+# Handbook of Computational Group Theory, section 5.2), of any presentation
+# <x_1..x_k | relators> over the trivial subgroup
+# ---------------------------------------------------------------------------
+
+CLOSED = "closed"
+LIMIT_EXCEEDED = "limit-exceeded"
+
+
+class RelatorTable(NamedTuple):
+    """A reference enumeration: live cosets renumbered 0..coset_count-1, and
+    ``cells[x * width + c]`` the target of coset x along column c (or -1).
+    Column j-1 carries x_j; ``inverse_column[c]`` undoes column c, and
+    ``letters`` maps each signed generator to its column."""
+
+    state: str
+    coset_count: int
+    high_water: int
+    cells: array
+    width: int
+    inverse_column: list
+    letters: dict
+
+    @property
+    def closed(self):
+        return self.state == CLOSED
+
+    def generator_cells(self):
+        return self.cells
+
+    def trace(self, word, start=0):
+        x = start
+        for signed in word:
+            x = self.cells[x * self.width + self.letters[signed]]
+        return x
+
+
+def relator_forms(k, relators):
+    """``(IC, forms)``: the inverse-column map and, per first column s, the
+    sorted forms (rotations of each relator and of its inverse, as column
+    words).  Generators a, b > 0 that are each other's only partner in a
+    relator (a)(b) or (b)(a) share a column pair, as ACE pairs involutions,
+    and those relators are dropped; any other generator keeps a formal
+    inverse column at index >= k."""
+    letters = set(range(-k, k + 1)) - {0}
+    partners = [set() for _ in range(k + 1)]
+    for w in relators:
+        if not letters.issuperset(w):
+            raise ValueError(f"relator {w} has a letter outside +-1..{k}")
+        if len(w) == 2 and w[0] > 0 and w[1] > 0:
+            partners[w[0]].add(w[1])
+            partners[w[1]].add(w[0])
+    IC = [-1] * k
+    for j in range(1, k + 1):
+        (p,) = partners[j] if len(partners[j]) == 1 else (0,)
+        if p and partners[p] == {j}:
+            IC[j - 1] = p - 1
+        else:
+            IC[j - 1] = len(IC)
+            IC.append(j - 1)
+    col_of = [0, *range(k), *IC[k - 1 :: -1]]  # letter +-j at index +-j
+    forms = set()
+    for w in relators:
+        cols = tuple(col_of[x] for x in w)
+        if len(w) == 2 and w[0] > 0 and IC[w[0] - 1] == w[1] - 1:
+            continue
+        inv = tuple(IC[c] for c in reversed(cols))
+        for word in (cols, inv):
+            for shift in range(len(word)):
+                forms.add(word[shift:] + word[:shift])
+    by_column = [[] for _ in IC]
+    for f in sorted(forms):
+        by_column[f[0]].append(f)
+    return IC, by_column
+
+
+def relator_todd_coxeter(k, relators, limit=10 ** 6):
+    """Felsch enumeration of <x_1..x_k | relators>, at most ``limit`` cosets
+    defined.  Each deduction alpha.s = beta is scanned once, from alpha,
+    against every form that starts with column s, by the two-ended scan;
+    coincidences forward merged cosets through a dict.  Definitions fill the
+    first empty cell of a coset in the column order of +1, -1, +2, -2, ..."""
+    IC, forms = relator_forms(k, [tuple(w) for w in relators])
+    W = len(IC)
+    order = list(dict.fromkeys(c for j in range(k) for c in (j, IC[j])))
+    blank = array("i", [-1]) * W
+    cells = blank[:]
+    dead = bytearray(1)  # dead[x]: x was merged into a smaller coset
+    fwd = {}  # dead coset -> a coset it was merged into
+    ded = []  # deduction stack of cell indices alpha * W + s
+
+    def rep(x):
+        while dead[x]:  # with path halving
+            y = fwd[x]
+            fwd[x] = x = fwd.get(y, y)
+        return x
+
+    def coincidence(a, b):
+        queue = []
+
+        def merge(x, y):
+            x, y = rep(x), rep(y)
+            if x == y:
+                return
+            if x > y:
+                x, y = y, x
+            dead[y], fwd[y] = 1, x
+            queue.append(y)
+
+        merge(a, b)
+        for g in queue:  # the list grows while it is read
+            for x in range(W):
+                d = cells[g * W + x]
+                if d == -1:
+                    continue
+                cells[g * W + x] = -1
+                cells[d * W + IC[x]] = -1
+                mu, nu = rep(g), rep(d)
+                xi = cells[mu * W + x]
+                if xi != -1:
+                    merge(nu, xi)
+                elif (ze := cells[nu * W + IC[x]]) != -1:
+                    merge(mu, ze)
+                else:
+                    cells[mu * W + x] = nu
+                    cells[nu * W + IC[x]] = mu
+                    ded.append(mu * W + x)
+
+    def scan(start, w):
+        f, i, L = start, 0, len(w)
+        while i < L and (nxt := cells[f * W + w[i]]) != -1:
+            f, i = nxt, i + 1
+        if i == L:
+            if f != start:
+                coincidence(f, start)
+            return
+        b, j = start, L - 1
+        while j >= i and (prv := cells[b * W + IC[w[j]]]) != -1:
+            b, j = prv, j - 1
+        if j < i:
+            coincidence(f, b)
+        elif j == i:
+            mate = cells[b * W + IC[w[i]]]
+            if mate == -1:
+                cells[f * W + w[i]] = b
+                cells[b * W + IC[w[i]]] = f
+                ded.append(f * W + w[i])
+            elif mate != f:
+                coincidence(f, mate)
+
+    def scan_edge(alpha, s, beta):
+        # a coincidence can kill alpha or move the edge: the merge queue
+        # re-pushes re-homed edges
+        for w in forms[s]:
+            scan(alpha, w)
+            if dead[alpha] or cells[alpha * W + s] != beta:
+                return
+
+    exceeded = False
+    alpha = 0
+    while not exceeded:
+        while alpha < len(dead) and not exceeded:
+            i, aW = 0, alpha * W
+            while i < W and not dead[alpha]:
+                s = order[i]
+                if cells[aW + s] != -1:
+                    i += 1
+                    continue
+                beta = len(dead)
+                if beta >= limit:
+                    exceeded = True
+                    break
+                dead.append(0)
+                cells.extend(blank)
+                cells[aW + s] = beta
+                cells[beta * W + IC[s]] = alpha
+                scan_edge(alpha, s, beta)
+                while ded:
+                    a, c = divmod(e := ded.pop(), W)
+                    if (b := cells[e]) != -1 and not dead[a]:
+                        scan_edge(a, c, b)
+            alpha += 1
+        if exceeded:
+            break
+        # coincidences can erase cells of cosets already passed: rescan
+        # until a full pass finds every live coset complete
+        alpha = next((x for x in range(len(dead)) if not dead[x]
+                      and -1 in cells[x * W : x * W + W]), None)
+        if alpha is None:
+            break
+
+    high_water = len(dead)
+    live = [x for x in range(high_water) if not dead[x]]
+    renum = {-1: -1, **{old: new for new, old in enumerate(live)}}
+    cells = array("i", (renum[y] for x in live for y in cells[x * W : x * W + W]))
+    letters = {s: c for j in range(k) for s, c in ((j + 1, j), (-j - 1, IC[j]))}
+    return RelatorTable(LIMIT_EXCEEDED if exceeded else CLOSED, len(live), high_water,
+                        cells, W, IC, letters)
 
 
 # ---------------------------------------------------------------------------

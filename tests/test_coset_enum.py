@@ -1,4 +1,5 @@
-"""The Felsch enumerator on colimit presentations and on classic ones."""
+"""The Felsch enumerator on colimit presentations, and the relator-by-relator
+reference enumerator of tests/oracles.py on classic ones."""
 
 import functools
 import hashlib
@@ -6,13 +7,12 @@ import math
 import sys
 import tracemalloc
 from array import array
-from collections.abc import Sequence
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nilcolim import build, coset_enum
+from nilcolim import build, coset_enum, presentations
 from nilcolim.coset_enum import (
     LIMIT_EXCEEDED,
     TableNotClosedError,
@@ -21,18 +21,14 @@ from nilcolim.coset_enum import (
 )
 from nilcolim.groups import partners
 from nilcolim.permutations import format_cycles
-from nilcolim.presentations import Presentation, build_presentation
+from nilcolim.presentations import build_presentation
 
 import oracles as O
 
 
 def _manual(ngens, relators, limit=10 ** 6):
-    P = Presentation(
-        group=None, q=2,
-        generators=tuple(range(1, ngens + 1)),
-        relators=[tuple(r) for r in relators],
-    )
-    return todd_coxeter(P, limit)
+    """The reference enumeration of <x_1..x_ngens | relators>."""
+    return O.relator_todd_coxeter(ngens, relators, limit)
 
 
 def _every_pair_relator(G):
@@ -67,7 +63,7 @@ def _assert_paired(t):
         assert y == -1 or cells[y * W + IC[c]] == x
 
 
-# -- classic presentations (exercise coincidences and generic scans) -----------
+# -- classic presentations, by the reference enumerator -------------------------
 
 def test_sym3_presentation():
     t = _manual(2, [(1, 1, 1), (2, 2), (1, 2, 1, 2)])
@@ -131,6 +127,8 @@ def test_limit_behavior():
     assert t.state == LIMIT_EXCEEDED
     assert t.high_water == 150
     assert t.coset_count <= 150
+    t = todd_coxeter(build_presentation(build("sym:3"), 2), limit=150)
+    assert t.state == LIMIT_EXCEEDED and t.high_water == t.coset_count == 150
     with pytest.raises(TableNotClosedError):
         trace_word(t, (1,))
 
@@ -322,7 +320,7 @@ def _assert_forms_agree(P):
     so a P(a) = P(a) must hold too."""
     G = P.group
     inv = [G.inverse(x) for x in range(G.order)]
-    IC, forms = coset_enum._relator_forms(P)
+    IC, forms = O.relator_forms(P.num_generators, P.relators)
     assert IC == [x - 1 for x in inv[1:]] and len(forms) == len(IC)
     for a in range(1, G.order):
         Pa = list(partners(G, a, P.q))
@@ -366,29 +364,19 @@ def test_table_forms_are_the_relator_forms_property(spec):
         _assert_forms_agree(build_presentation(G, q))
 
 
-class _Unreadable(Sequence):
-    """A relator list of a given length that fails the test when read."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, i):
-        raise AssertionError("the enumerator read the relators")
+def _unbuilt(*args):
+    raise AssertionError("the relators were built")
 
 
-def test_colimit_enumeration_reads_no_relators():
+def test_colimit_enumeration_reads_no_relators(monkeypatch):
     """A presentation from ``build_presentation`` is enumerated from its
-    group's Cayley table: with its relators made unreadable it still closes
-    to the frozen table, at q = 2 and at q = 3, and setting up the
+    group's Cayley table: with the relator build made to fail, it still
+    closes to the frozen table, at q = 2 and at q = 3, and setting up the
     enumeration stays small (the relator forms of extraspecial:3:2 peaked at
     2.38 MB)."""
+    monkeypatch.setattr(presentations, "_pair_relators", _unbuilt)
     for spec, q in (("extraspecial:3:2", 2), ("quaternion", 3)):
-        P = build_presentation(build(spec), q)
-        P = P._replace(relators=_Unreadable(len(P.relators)))
-        t = todd_coxeter(P)
+        t = todd_coxeter(build_presentation(build(spec), q))
         frozen = repr((t.state, t.coset_count, t.high_water, t.inverse_column, _cells(t)))
         assert hashlib.sha256(frozen.encode()).hexdigest() == FROZEN[f"{spec} q={q}"][1]
     P = build_presentation(build("extraspecial:3:2"), 2)
@@ -398,17 +386,6 @@ def test_colimit_enumeration_reads_no_relators():
         assert tracemalloc.get_traced_memory()[1] <= 1.5 * 2 ** 20
     finally:
         tracemalloc.stop()
-
-
-@pytest.mark.parametrize("q", [2, 3])
-def test_hand_built_presentations_with_a_group_use_their_relators(q):
-    """Only ``build_presentation`` marks a presentation as the colimit: one
-    built by hand over the same group is read relator by relator, at every q."""
-    G = build("sym:3")
-    P = build_presentation(G, q)
-    hand = Presentation(G, q, P.generators, _Unreadable(len(P.relators)))
-    with pytest.raises(AssertionError, match="read the relators"):
-        todd_coxeter(hand)
 
 
 @pytest.mark.parametrize("ngens,relators,repeats", [
@@ -459,15 +436,14 @@ def test_inverse_column_pairing(ngens, relators, order, ic):
 
 def test_bad_limit():
     with pytest.raises(ValueError):
-        _manual(1, [(1, 1)], limit=0)
+        todd_coxeter(build_presentation(build("sym:3"), 2), limit=0)
 
 
 @pytest.mark.parametrize("relator", [(0, 1, 1), (1, 0), (1, 1, 3), (1, -3)])
 def test_letters_outside_the_generators_are_rejected(relator):
     # letter 0 would read the last inverse column, letters past k index past it
-    P = Presentation(build("cyclic:1"), 2, (1,), [relator])
     with pytest.raises(ValueError) as exc:
-        todd_coxeter(P)
+        _manual(1, [relator])
     assert str(relator) in str(exc.value)
 
 
@@ -585,7 +561,7 @@ def test_breadth_first_tree():
     assert [depth[y] for _, _, y in edges] == sorted(depth[y] for _, _, y in edges)
     assert edges[0] == (0, 1, t.trace((1,)))
     with pytest.raises(TableNotClosedError):
-        next(_manual(2, [], limit=5).breadth_first())
+        next(todd_coxeter(build_presentation(build("sym:3"), 2), limit=5).breadth_first())
 
 
 # -- independent oracles -----------------------------------------------------------
