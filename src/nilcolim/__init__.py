@@ -29,7 +29,7 @@ _EXPORTS = {
         " check_symplectic find_symplectic sequence_subgroup structure_report"
     ),
     "presentations": "Presentation build_presentation presentation_dumps",
-    "coset_enum": "CosetTable TableNotClosedError todd_coxeter trace_word",
+    "coset_enum": "CosetTable TableNotClosedError todd_coxeter",
     "colimit": (
         "D2Subgroup KernelReport conjecture_probe d2 d2_antidiagonal_generation"
         " epsilon_kernel kpi1_verdict lemma_suite theorem1_verify"

@@ -14,12 +14,7 @@ from random import Random
 from typing import NamedTuple, Optional, Union
 
 from .budgets import DEFAULT_COSET_LIMIT, DEFAULT_SEARCH_BUDGET
-from .coset_enum import (
-    CosetTable,
-    TableNotClosedError,
-    todd_coxeter,
-    trace_word,
-)
+from .coset_enum import CosetTable, TableNotClosedError, todd_coxeter
 from .groups import (
     FiniteGroup,
     GroupTooLargeError,
@@ -129,22 +124,8 @@ def d2_projection_kernel_is_derived(G: FiniteGroup, sub: D2Subgroup) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the counit: coset -> group element, and kernel bookkeeping
+# the counit, read off a table as its ``epsilon``, and kernel bookkeeping
 # ---------------------------------------------------------------------------
-
-def epsilon_images(t: CosetTable) -> list[int]:
-    """Element of the source group represented by each coset (BFS from 0)."""
-    P = t.presentation
-    G = P.group
-    images = [-1] * t.coset_count
-    images[0] = 0
-    for x, s, y in t.breadth_first():
-        e = P.generators[abs(s) - 1]
-        images[y] = G.multiply(images[x], e if s > 0 else G.inverse(e))
-    if any(v == -1 for v in images):
-        raise AssertionError("coset table is not transitive")
-    return images
-
 
 def epsilon_bar_images(t: CosetTable) -> list[tuple[int, int]]:
     """Image of each coset under (g) -> (g, g^-1) into G x G.
@@ -207,7 +188,7 @@ def coset_words(t: CosetTable) -> list[Word]:
 
 def coset_order(t: CosetTable, word: Word) -> int:
     """Order of the group element represented by a word, by iterated tracing."""
-    x = trace_word(t, word)
+    x = t.trace(word)
     n = 1
     y = x
     while y != 0:
@@ -389,9 +370,9 @@ def lemma_suite(
     c_order = S.element_order(c)
 
     kw = k_word(S, seq, 1)
-    k_coset = trace_word(t, kw)
+    k_coset = t.trace(kw)
     k_values_equal = all(
-        trace_word(t, k_word(S, seq, i)) == k_coset for i in range(1, r + 1)
+        t.trace(k_word(S, seq, i)) == k_coset for i in range(1, r + 1)
     )
     k_order = coset_order(t, kw)
 
@@ -417,7 +398,7 @@ def lemma_suite(
                 word_for_element(gm),
                 word_for_element(h),
             )
-            if trace_word(t, power_word(kw, m)) != trace_word(t, rhs):
+            if t.trace(power_word(kw, m)) != t.trace(rhs):
                 power_ok = False
 
     merge_ok = True
@@ -445,7 +426,7 @@ def lemma_suite(
                 word_for_element(y),
                 inverse_word(word_for_element(S.multiply(x, y))),
             )
-            if trace_word(t, lhs) != trace_word(t, power_word(kw, alpha)):
+            if t.trace(lhs) != t.trace(power_word(kw, alpha)):
                 merge_ok = False
             merge_checked += 1
 
@@ -466,18 +447,15 @@ def lemma_suite(
                                 word_for_element(u), word_for_element(v)
                             )
                             n = a * dd - b * cc
-                            if trace_word(t, lhs) != trace_word(
-                                t, power_word(base, n)
-                            ):
+                            if t.trace(lhs) != t.trace(power_word(base, n)):
                                 adbc_ok = False
 
     k_central = all(
-        t.trace(kw, trace_word(t, (j,))) == trace_word(t, concat_words(kw, (j,)))
+        t.trace(kw, t.trace((j,))) == t.trace(concat_words(kw, (j,)))
         for j in range(1, t.presentation.num_generators + 1)
     )
 
-    eps = epsilon_images(t)
-    kernel = {x for x in range(t.coset_count) if eps[x] == 0}
+    kernel = {x for x, e in enumerate(t.epsilon) if e == 0}
     kernel_is_k_span = kernel == set(k_cosets)
 
     return LemmaSuiteReport(
@@ -578,8 +556,7 @@ def kpi1_verdict(
         budgets["coset_limit_hit"] = g_table.high_water
     elif kern.kernel_order and kern.kernel_order > 1:
         words = coset_words(g_table)
-        eps = epsilon_images(g_table)
-        witness = next(x for x in range(1, g_table.coset_count) if eps[x] == 0)
+        witness = g_table.epsilon.index(0, 1)
         answer, reason = "NOT_K_PI_1", "counit kernel has torsion"
         cert = {
             "type": "torsion-kernel-element",

@@ -25,9 +25,9 @@ depends only on the left coset of eps(x) modulo the stabilizer
 {h : h P(a) = P(a)}.  The stabilizer contains <a>, and at q = 2 it is
 P(a) = C(a) itself.  So a gather is built once per such left coset, and
 every edge whose slots it covers shares it.  A merged coset keeps ~eps(x),
-a negative image.  A closed table is rewritten once, in place, to generator
-columns; one cut at its limit is left in epsilon-coordinates (see
-``CosetTable.generator_cells``).
+a negative image.  Every table, closed or cut at its limit, is returned in
+these coordinates with its images, and is read in them: x.(g) is the cell in
+slot eps(x) g of row x, and x.(g)^-1 the one in slot eps(x) g^-1.
 """
 
 from __future__ import annotations
@@ -53,19 +53,12 @@ class TableNotClosedError(RuntimeError):
 
 
 class CosetTable(NamedTuple):
-    """Result of an enumeration: live cosets renumbered 0..coset_count-1.
-
-    In generator columns, ``cells[x * width + c]`` is the target coset of x
-    along column c (or -1 while partial).  Column j-1 carries generator j;
-    ``inverse_column[c]`` is the column that undoes column c, that of the
-    inverse element (c itself for an involution).  Cells are paired: every
-    filled x.c = y has y.inverse_column[c] = x, in partial tables too.
-    ``letters`` maps each signed generator to its column.  A table cut at its
-    limit stays in the enumerator's epsilon-coordinates (see the module
-    docstring): ``epsilon[x]`` is the image of coset x in G, and ``cells``
-    holds width + 1 slots a coset.  ``epsilon`` is None for a table in
-    generator columns, and ``generator_cells()`` reads either kind as
-    generator columns.
+    """Result of an enumeration: live cosets renumbered 0..coset_count-1, in
+    the enumerator's epsilon-coordinates (see the module docstring), whether
+    the table closed or was cut at its limit.  ``epsilon[x]`` is the image of
+    coset x in G, and ``cells[x * |G| + h]`` is the neighbour of x whose
+    image is h (or -1 while partial), x itself at h = eps(x).  Cells are
+    paired: a filled x.(g) = y has y.(g^-1) = x, in partial tables too.
     """
 
     presentation: Presentation
@@ -74,10 +67,7 @@ class CosetTable(NamedTuple):
     high_water: int
     limit: int
     cells: array
-    width: int
-    inverse_column: list[int]
-    letters: dict[int, int]
-    epsilon: Optional[array]
+    epsilon: array
 
     def __repr__(self):
         return f"CosetTable({self.state}, {self.coset_count} cosets, high water {self.high_water})"
@@ -86,30 +76,18 @@ class CosetTable(NamedTuple):
     def closed(self) -> bool:
         return self.state == CLOSED
 
-    def column(self, signed_gen: int) -> int:
-        try:
-            return self.letters[signed_gen]
-        except KeyError:
-            raise ValueError(f"generator index {signed_gen} out of range") from None
-
-    def generator_cells(self) -> array:
-        """Every cell, coset by coset, in generator columns: ``cells`` itself,
-        or a rewritten copy of a table left in epsilon-coordinates."""
-        if self.epsilon is None:
-            return self.cells
-        cells = self.cells[:]
-        _to_generator_columns(cells, self.epsilon, self.presentation.group.cayley_columns())
-        return cells
-
     def trace(self, word: Word, start: int = 0) -> int:
+        """The coset that ``word`` carries ``start`` to (by default coset 0,
+        which a word fixes exactly when it is the identity)."""
         if not self.closed:
             raise TableNotClosedError(f"cannot trace words in a {self.state} table")
-        x, W, cells, col = start, self.width, self.cells, self.letters
-        try:
-            for signed in word:
-                x = cells[x * W + col[signed]]
-        except KeyError:
-            raise ValueError(f"generator index {signed} out of range") from None
+        G = self.presentation.group
+        cols, inv, n = G.cayley_columns(), G._inv, G.order
+        x, cells, eps = start, self.cells, self.epsilon
+        for signed in word:
+            if not 0 < abs(signed) < n:
+                raise ValueError(f"generator index {signed} out of range")
+            x = cells[x * n + cols[signed if signed > 0 else inv[-signed]][eps[x]]]
         return x
 
     def breadth_first(self) -> Iterator[tuple[int, int, int]]:
@@ -118,33 +96,21 @@ class CosetTable(NamedTuple):
         generators in the order +1, -1, +2, -2, ..."""
         if not self.closed:
             raise TableNotClosedError(f"cannot traverse a {self.state} table")
-        steps = list(self.letters.items())
-        cells, W = self.cells, self.width
+        G = self.presentation.group
+        cols, inv, n = G.cayley_columns(), G._inv, G.order
+        steps = [(s, cols[g]) for j in range(1, n) for s, g in ((j, j), (-j, inv[j]))]
+        cells, eps = self.cells, self.epsilon
         seen = [False] * self.coset_count
         seen[0] = True
         queue = [0]
         for x in queue:  # the list grows while it is read: an index queue
-            xW = x * W
-            for s, c in steps:
-                y = cells[xW + c]
+            xn, E = x * n, eps[x]
+            for s, col in steps:
+                y = cells[xn + col[E]]
                 if not seen[y]:
                     seen[y] = True
                     queue.append(y)
                     yield x, s, y
-
-
-def trace_word(t: CosetTable, word: Word) -> int:
-    """Image of coset 0 under the word; 0 iff the word is the identity."""
-    return t.trace(word, 0)
-
-
-def _table(P: Presentation, exceeded: bool, high_water: int, limit: int, cells: array,
-           IC: list[int], merged: int, epsilon: Optional[array] = None) -> CosetTable:
-    """The ``CosetTable`` of an enumeration that merged away ``merged`` cosets."""
-    k = P.num_generators
-    letters = {s: c for j in range(k) for s, c in ((j + 1, j), (-j - 1, IC[j]))}
-    return CosetTable(P, LIMIT_EXCEEDED if exceeded else CLOSED, high_water - merged,
-                      high_water, limit, cells, len(IC), IC, letters, epsilon)
 
 
 def _keep(cells: array, live: list[int], W: int) -> None:
@@ -157,19 +123,6 @@ def _keep(cells: array, live: list[int], W: int) -> None:
         row = cells[old * W : old * W + W]
         cells[new * W : new * W + W] = array("i", map(renum.__getitem__, row))
     del cells[len(live) * W :]
-
-
-def _to_generator_columns(cells: array, eps: array, cols: list) -> None:
-    """Rewrite a table in epsilon-coordinates, in place, to generator
-    columns: column g - 1 of row x is its slot eps(x) g (``cols[g][eps(x)]``),
-    and its slot eps(x), x itself, goes.  Row x moves left, into cells that
-    the rows before it have already left."""
-    gcols = cols[1:]
-    W = len(gcols)
-    for x, E in enumerate(eps):
-        row = cells[x * (W + 1) : (x + 1) * (W + 1)]
-        cells[x * W : x * W + W] = array("i", map(row.__getitem__, map(itemgetter(E), gcols)))
-    del cells[len(eps) * W :]
 
 
 def _reader(distinct: list[int], ranges: dict) -> tuple:
@@ -411,11 +364,8 @@ def _colimit_enumeration(P: Presentation, limit: int,
         live = [x for x in range(high_water) if eps[x] >= 0]
         _keep(cells, live, n)
         eps = array("h", map(eps.__getitem__, live))
-    IC = [g - 1 for g in inv[1:]]
-    if exceeded:
-        return _table(P, True, high_water, limit, cells, IC, len(fwd), eps)
-    _to_generator_columns(cells, eps, cols)
-    return _table(P, False, high_water, limit, cells, IC, len(fwd))
+    return CosetTable(P, LIMIT_EXCEEDED if exceeded else CLOSED, high_water - len(fwd),
+                      high_water, limit, cells, eps)
 
 
 def todd_coxeter(P: Presentation, limit: int = DEFAULT_COSET_LIMIT) -> CosetTable:

@@ -44,6 +44,7 @@ COMMANDS = [
     "verdict cyclic:6",
     "verdict product:(cyclic:2),(cyclic:4)",
     "verdict extraspecial:2:2",
+    "verdict extraspecial:2:2 --budget 1",
     "verdict extraspecial:2:3",
     "verdict extraspecial:3:2",
     "verdict sym:16 --seed-gl",

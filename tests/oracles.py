@@ -211,9 +211,6 @@ class RelatorTable(NamedTuple):
     def closed(self):
         return self.state == CLOSED
 
-    def generator_cells(self):
-        return self.cells
-
     def trace(self, word, start=0):
         x = start
         for signed in word:
@@ -382,6 +379,41 @@ def relator_todd_coxeter(k, relators, limit=10 ** 6):
     letters = {s: c for j in range(k) for s, c in ((j + 1, j), (-j - 1, IC[j]))}
     return RelatorTable(LIMIT_EXCEEDED if exceeded else CLOSED, len(live), high_water,
                         cells, W, IC, letters)
+
+
+# ---------------------------------------------------------------------------
+# colimit tables in epsilon-coordinates, over ids 0..n-1 with 0 the identity
+# and generator j the element j
+# ---------------------------------------------------------------------------
+
+def generator_columns(cells, eps, cols):
+    """A colimit table in epsilon-coordinates, read as generator columns.
+
+    ``cells[x * n + h]`` (n = len(cols)) is the neighbour of coset x whose
+    image is h, ``eps[x]`` the image of x, and ``cols[b][a]`` the product ab.
+    The neighbour x.(g) has the image eps(x) g, so column g - 1 of row x is
+    its slot ``cols[g][eps[x]]``; the slot eps(x), x itself, is left out."""
+    n = len(cols)
+    return [cells[x * n + cols[g][e]] for x, e in enumerate(eps) for g in range(1, n)]
+
+
+def counit_images(count, step, mult, inverse, n):
+    """The image in G of each of ``count`` cosets, by a breadth-first walk
+    from coset 0 (image 0) that multiplies along every edge: ``step(x, s)``
+    is the coset x.s for the signed generators s = +-1..+-(n-1), and the
+    letter -j stands for the element ``inverse(j)``.  None marks a coset the
+    walk does not reach."""
+    images = [None] * count
+    images[0] = 0
+    queue = [0]
+    for x in queue:
+        for j in range(1, n):
+            for s, g in ((j, j), (-j, inverse(j))):
+                y = step(x, s)
+                if images[y] is None:
+                    images[y] = mult(images[x], g)
+                    queue.append(y)
+    return images
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from nilcolim.colimit import (
     d2_projection_kernel,
     d2_projection_kernel_is_derived,
     epsilon_bar_images,
-    epsilon_images,
     epsilon_kernel,
     k_word,
     kpi1_verdict,
@@ -28,7 +27,6 @@ from nilcolim.coset_enum import (
     LIMIT_EXCEEDED,
     TableNotClosedError,
     todd_coxeter,
-    trace_word,
 )
 from nilcolim.groups import closure, derived_subgroup
 from nilcolim.presentations import build_presentation, word_for_element
@@ -207,7 +205,7 @@ def test_sequence_images_span_complement_of_k():
             frontier = new
         assert len(seen) == S.order           # a complement: one per element
         assert t.coset_count == p * S.order   # the kernel <k> is missing
-        assert trace_word(t, k_word(S, inner)) not in seen
+        assert t.trace(k_word(S, inner)) not in seen
 
 
 def test_theorem1_epsilon_bar_factorization():
@@ -216,9 +214,9 @@ def test_theorem1_epsilon_bar_factorization():
     rep = theorem1_verify(check_symplectic(G, basis))
     S = rep.s_group
     d2_members = d2(S).members
-    eps = epsilon_images(rep.table)
+    eps = rep.table.epsilon
     for g in range(1, S.order):
-        coset = trace_word(rep.table, (g,))
+        coset = rep.table.trace((g,))
         assert eps[coset] == g
         assert (g, S.inverse(g)) in d2_members
 
@@ -262,7 +260,7 @@ def test_lemma_suite_trivial_sequence_k_dies():
     seq = check_symplectic(z, [1, 2, 3, 4])
     S, inner, _ = seq.span
     t = todd_coxeter(build_presentation(S, 2))
-    assert trace_word(t, k_word(S, inner)) == 0
+    assert t.trace(k_word(S, inner)) == 0
 
 
 def test_k_word_shape(e22_bundle):
@@ -293,11 +291,11 @@ def test_epsilon_images_consistency(e22_bundle):
     """Tracing (g)(h) lands on the coset of gh whenever g, h commute."""
     t = e22_bundle.table
     S = e22_bundle.s_group
-    eps = epsilon_images(t)
+    eps = t.epsilon
     assert eps[0] == 0
     for g in range(1, S.order):
         for h in range(1, S.order):
-            coset = trace_word(t, word_for_element(g) + word_for_element(h))
+            coset = t.trace(word_for_element(g) + word_for_element(h))
             assert eps[coset] == S.multiply(g, h)
 
 
@@ -306,13 +304,13 @@ def test_coset_words_roundtrip(e22_bundle):
     words = coset_words(t)
     assert words[0] == ()
     for x, w in enumerate(words):
-        assert trace_word(t, w) == x
+        assert t.trace(w) == x
 
 
-@pytest.mark.parametrize("read", [epsilon_images, epsilon_bar_images, coset_words])
+@pytest.mark.parametrize("read", [epsilon_bar_images, coset_words])
 def test_reading_a_table_that_did_not_close_raises(read):
-    """The counit, the pair map and the coset words walk the table breadth
-    first, and that walk refuses a table that hit its limit."""
+    """The pair map and the coset words walk the table breadth first, and
+    that walk refuses a table that hit its limit."""
     t = todd_coxeter(build_presentation(build("sym:3"), 2), limit=50)
     assert t.state == LIMIT_EXCEEDED
     with pytest.raises(TableNotClosedError):
@@ -358,12 +356,14 @@ def test_verdict_torsion_route():
     # with a starved search the enumeration fallback still finds torsion
     assert v.answer == "NOT_K_PI_1"
     assert v.certificate["type"] == "torsion-kernel-element"
+    # the breadth-first word of the least coset but 0 that maps to the identity
+    assert v.certificate["word"] == [1, 3, -6]
     assert v.certificate["order"] == 2
     assert v.certificate["kernel_order"] == 2
     # the witness word really has order 2 in the enumerated colimit
     word = tuple(v.certificate["word"])
-    assert trace_word(v.g_table, word) != 0
-    assert trace_word(v.g_table, word + word) == 0
+    assert v.g_table.trace(word) != 0
+    assert v.g_table.trace(word + word) == 0
 
 
 def test_verdict_seeded_sym16():

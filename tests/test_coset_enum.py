@@ -17,9 +17,8 @@ from nilcolim.coset_enum import (
     LIMIT_EXCEEDED,
     TableNotClosedError,
     todd_coxeter,
-    trace_word,
 )
-from nilcolim.groups import partners
+from nilcolim.groups import class_below, partners
 from nilcolim.permutations import format_cycles
 from nilcolim.presentations import build_presentation
 
@@ -37,11 +36,31 @@ def _every_pair_relator(G):
     return O.colimit_pair_relators(G.multiply, G.order, 2)
 
 
+def _columns(t):
+    """``(width, inverse columns, cells)`` of a table in generator columns: a
+    reference table's own, or a colimit table's, whose column j - 1 carries
+    generator j and is undone by the column of the inverse element, read out
+    of its epsilon-coordinates by the oracle."""
+    if isinstance(t, O.RelatorTable):
+        return t.width, t.inverse_column, list(t.cells)
+    G = t.presentation.group
+    return (G.order - 1, [G.inverse(j) - 1 for j in range(1, G.order)],
+            O.generator_columns(t.cells, t.epsilon, G.cayley_columns()))
+
+
+def _digest(t, high_water):
+    """The sha256 of the state, the counts, the inverse columns and every
+    cell, coset by coset, in generator columns: it does not depend on how
+    the cells are stored."""
+    _, IC, cells = _columns(t)
+    frozen = repr((t.state, t.coset_count, high_water, IC, cells))
+    return hashlib.sha256(frozen.encode()).hexdigest()
+
+
 def _assert_closed_action(t, relators):
-    """Every column permutes the cosets, column ``inverse_column[c]`` undoes
-    column c (and the map is an involution), and every relator fixes every
-    coset."""
-    n, W, IC, cells = t.coset_count, t.width, t.inverse_column, t.cells
+    """Every column permutes the cosets, column ``IC[c]`` undoes column c
+    (and the map is an involution), and every relator fixes every coset."""
+    n, (W, IC, cells) = t.coset_count, _columns(t)
     assert t.closed and len(cells) == n * W
     assert all(IC[IC[c]] == c for c in range(W))
     for c in range(W):
@@ -56,7 +75,7 @@ def _assert_paired(t):
     """Every filled cell x.c = y has y.IC[c] = x, in a partial table too: the
     epsilon-coordinate scan skips the slots where two rows agree on this
     ground."""
-    W, IC, cells = t.width, t.inverse_column, t.generator_cells()
+    W, IC, cells = _columns(t)
     assert len(cells) == t.coset_count * W
     for e, y in enumerate(cells):
         x, c = divmod(e, W)
@@ -130,7 +149,7 @@ def test_limit_behavior():
     t = todd_coxeter(build_presentation(build("sym:3"), 2), limit=150)
     assert t.state == LIMIT_EXCEEDED and t.high_water == t.coset_count == 150
     with pytest.raises(TableNotClosedError):
-        trace_word(t, (1,))
+        t.trace((1,))
 
 
 def test_free_group_hits_limit():
@@ -190,9 +209,10 @@ def test_table_memory_per_cell():
     """Peak Python allocation of a wide table grown to its limit: the table
     is one flat array('i') of 4-byte cells (8-byte pointers plus boxed ints
     in a list would take over 9 bytes a cell)."""
-    t, peak = _traced_peak(build_presentation(build("gl:3:2"), 2), limit=20000)
-    assert t.state == LIMIT_EXCEEDED and t.width == 167
-    assert peak <= 6 * t.high_water * t.width
+    P = build_presentation(build("gl:3:2"), 2)
+    t, peak = _traced_peak(P, limit=20000)
+    assert t.state == LIMIT_EXCEEDED and P.num_generators == 167
+    assert peak <= 6 * t.high_water * P.num_generators
 
 
 def test_table_memory_per_coset():
@@ -201,8 +221,9 @@ def test_table_memory_per_coset():
     its cells and a 2-byte image in G, with no object of its own (an
     array('i') row and a boxed union-find parent a coset took about 170
     bytes a coset)."""
-    t, peak = _traced_peak(build_presentation(build("sym:3"), 2), limit=100000)
-    assert t.state == LIMIT_EXCEEDED and t.width == 5 and t.high_water == 100000
+    P = build_presentation(build("sym:3"), 2)
+    t, peak = _traced_peak(P, limit=100000)
+    assert t.state == LIMIT_EXCEEDED and P.num_generators == 5 and t.high_water == 100000
     assert peak <= 32 * t.high_water
 
 
@@ -240,20 +261,13 @@ FROZEN = {
 }
 
 
-def _cells(t):
-    """Every cell of the table, coset by coset, as one flat list of ints.  The
-    digests hash this list, so they do not depend on how cells are stored."""
-    return list(t.generator_cells())
-
-
 @pytest.mark.parametrize("name", list(FROZEN))
 def test_frozen_table(name):
     """Definition order, deduction order and coincidence handling all show in
     the final table; any change to them moves one of these digests."""
     run, digest = FROZEN[name]
     t = run()
-    frozen = repr((t.state, t.coset_count, t.high_water, t.inverse_column, _cells(t)))
-    assert hashlib.sha256(frozen.encode()).hexdigest() == digest
+    assert _digest(t, t.high_water) == digest
 
 
 # -- coincidences in epsilon-coordinates ------------------------------------------
@@ -288,8 +302,7 @@ def test_seeded_duplicate_coset_merges_to_the_frozen_table(spec, q):
                                            (1, bc, 3), (3, b, 1)])
     t = coset_enum._colimit_enumeration(P, 10 ** 6, seed=(cells, eps))
     assert t.closed and t.high_water == t.coset_count + 1
-    frozen = repr((t.state, t.coset_count, t.high_water - 1, t.inverse_column, _cells(t)))
-    assert hashlib.sha256(frozen.encode()).hexdigest() == FROZEN[f"{spec} q={q}"][1]
+    assert _digest(t, t.high_water - 1) == FROZEN[f"{spec} q={q}"][1]
     _assert_closed_action(t, _every_pair_relator(G) if q == 2 else P.relators)
 
 
@@ -364,6 +377,36 @@ def test_table_forms_are_the_relator_forms_property(spec):
         _assert_forms_agree(build_presentation(G, q))
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@settings(max_examples=30, deadline=None)
+@given(_colimit_specs())
+def test_every_table_carries_its_counit_images_property(q, spec):
+    """Every table keeps the image in G of each coset.  At limit 50, every
+    filled slot h of a row holds a coset whose image is h.  A closed table
+    (at the default limit when G has class < q, so that N_q(G) = G) has the
+    images of a breadth-first walk that multiplies along its edges, and
+    eps(x.(g)) = eps(x) g on every edge."""
+    G = build(spec)
+    assume(G.order <= 64)
+    n, P = G.order, build_presentation(G, q)
+    tables = [todd_coxeter(P, 50)]
+    if class_below(G, G.generators, q):
+        tables.append(todd_coxeter(P))
+    for t in tables:
+        eps, cells = t.epsilon, t.cells
+        assert len(eps) == t.coset_count and len(cells) == t.coset_count * n
+        assert all(y == -1 or eps[y] == e % n for e, y in enumerate(cells))
+        if not t.closed:
+            continue
+        walk = O.counit_images(t.coset_count, lambda x, s: t.trace((s,), x),
+                               G.multiply, G.inverse, n)
+        assert walk == list(eps)
+        for x in range(t.coset_count):
+            for g in range(1, n):
+                assert eps[t.trace((g,), x)] == G.multiply(eps[x], g)
+                assert eps[t.trace((-g,), x)] == G.multiply(eps[x], G.inverse(g))
+
+
 def _unbuilt(*args):
     raise AssertionError("the relators were built")
 
@@ -377,8 +420,7 @@ def test_colimit_enumeration_reads_no_relators(monkeypatch):
     monkeypatch.setattr(presentations, "_pair_relators", _unbuilt)
     for spec, q in (("extraspecial:3:2", 2), ("quaternion", 3)):
         t = todd_coxeter(build_presentation(build(spec), q))
-        frozen = repr((t.state, t.coset_count, t.high_water, t.inverse_column, _cells(t)))
-        assert hashlib.sha256(frozen.encode()).hexdigest() == FROZEN[f"{spec} q={q}"][1]
+        assert _digest(t, t.high_water) == FROZEN[f"{spec} q={q}"][1]
     P = build_presentation(build("extraspecial:3:2"), 2)
     tracemalloc.start()
     try:
@@ -402,8 +444,8 @@ def test_repeated_relator_forms_change_nothing(ngens, relators, repeats):
     once = _manual(ngens, relators)
     for listed in (relators + repeats, repeats + relators):
         again = _manual(ngens, listed)
-        assert (again.state, again.high_water, again.inverse_column, _cells(again)) == (
-            once.state, once.high_water, once.inverse_column, _cells(once))
+        assert (again.state, again.high_water, _columns(again)) == (
+            once.state, once.high_water, _columns(once))
 
 
 # -- how the inverse columns are derived ------------------------------------------
@@ -490,7 +532,7 @@ def test_determinism():
     P = build_presentation(G, 2)
     a = todd_coxeter(P)
     b = todd_coxeter(P)
-    assert (a.width, a.inverse_column, a.cells) == (b.width, b.inverse_column, b.cells)
+    assert (a.epsilon, a.cells) == (b.epsilon, b.cells)
     assert a.high_water == b.high_water
 
 
@@ -507,14 +549,14 @@ def test_all_relators_trace_to_zero_everywhere():
 def test_trace_words():
     G = build("cyclic:4")
     t = todd_coxeter(build_presentation(G, 2))
-    assert trace_word(t, ()) == 0
+    assert t.trace(()) == 0
     # (1)^4 is the identity and (1)(3) merges to (1*3 = 0): both die
-    assert trace_word(t, (1, 1, 1, 1)) == 0
-    assert trace_word(t, (1, 3)) == 0
-    assert trace_word(t, (1,)) != 0
+    assert t.trace((1, 1, 1, 1)) == 0
+    assert t.trace((1, 3)) == 0
+    assert t.trace((1,)) != 0
     # tracing is an action: concatenation composes
     w1, w2 = (1, 2), (3, 1)
-    assert t.trace(w2, trace_word(t, w1)) == trace_word(t, w1 + w2)
+    assert t.trace(w2, t.trace(w1)) == t.trace(w1 + w2)
 
 
 def test_trace_rejects_bad_generator():
@@ -523,27 +565,27 @@ def test_trace_rejects_bad_generator():
     t = todd_coxeter(build_presentation(G, 2))
     for word in [(9,), (0,), (-9,), (1, 4)]:
         with pytest.raises(ValueError):
-            trace_word(t, word)
+            t.trace(word)
 
 
 def test_trivial_presentation_closes_instantly():
     G = build("cyclic:1")
     t = todd_coxeter(build_presentation(G, 2))
     assert t.closed and t.coset_count == 1
-    # no generators: a table of width 0 with no cells
-    assert t.width == 0 and len(t.cells) == 0
+    # no generators: coset 0 holds only itself, and no generator column
+    assert list(t.cells) == [0] and _columns(t) == (0, [], [])
     _assert_paired(t)
     _assert_closed_action(t, [])
-    assert trace_word(t, ()) == 0 and list(t.breadth_first()) == []
+    assert t.trace(()) == 0 and list(t.breadth_first()) == []
 
 
 def test_closed_table_is_complete_permutation_action():
     G = build("extraspecial:2:2")
     P = build_presentation(G, 2)
     t = todd_coxeter(P)
-    # every colimit generator is paired with its inverse element's column
-    assert t.width == P.num_generators
-    assert all(t.column(-j) == G.inverse(j) - 1 for j in P.generators)
+    # the inverse of every colimit generator is the inverse element's generator
+    assert all(t.trace((-j,), x) == t.trace((G.inverse(j),), x)
+               for j in P.generators for x in range(t.coset_count))
     _assert_closed_action(t, _every_pair_relator(G))
 
 

@@ -22,7 +22,7 @@ from nilcolim.presentations import (
 )
 
 import oracles as O
-from test_coset_enum import _colimit_specs
+from test_coset_enum import _colimit_specs, _columns
 
 
 def _relator_pair(G, w):
@@ -237,8 +237,7 @@ def test_trivial_group_presentation():
 # -- one relator per class changes no answer -------------------------------------
 
 def _table_state(t):
-    return (t.state, t.coset_count, t.high_water, t.width, t.inverse_column,
-            t.generator_cells())
+    return (t.state, t.coset_count, t.high_water, *_columns(t))
 
 
 @pytest.mark.parametrize("spec,q", [
