@@ -5,17 +5,16 @@ dict per row, and goes through two phases, over Python ints.
 
 1. Sparse unit-pivot elimination (after Dumas, Saunders & Villard, "On
    efficient sparse integer matrix Smith normal form computations", J.
-   Symbolic Comput. 32, 2001).  The rows are copied once, without empty
-   rows, rows equal to an earlier one up to sign (the row lattice stays the
-   same), and columns equal to an earlier one up to sign (adding or
-   subtracting a column from its copy is unimodular and leaves a zero
-   column).  While some row holds a +-1 entry, the shortest such row is
-   taken, and in it the unit entry whose column has the fewest entries (a
-   Markowitz-style choice that limits fill-in).  Exact integer row
-   operations clear that column from the other rows; then the pivot row and
-   column are dropped.  Dropping them is exact: once the column is clear,
-   the column operations that would clear the pivot row touch that row
-   only, so SNF(M) = 1 + SNF(M') with M' the remaining rows and columns.
+   Symbolic Comput. 32, 2001).  Rows, then columns, equal to an earlier one
+   up to sign are dropped (a unimodular step makes each a zero line), on
+   flat keys of 16 bytes a nonzero: a row's column and value tuples, then
+   a column's [i, v, i, v, ...] list from one transposition of the rows.
+   Each column keeps an exact count of its rows and an append-only holder
+   list, 8 bytes a nonzero beside the row's dict entry.  While a row holds a
+   +-1 entry, the shortest one is taken, and in it the unit of least count
+   (Markowitz-style, to limit fill-in).  Row operations clear that column
+   from the live rows on its holder list; SNF(M) = 1 + SNF(M') with M' the
+   rest, since clearing the pivot row by column operations touches it only.
 2. Dense core.  The rows left hold no unit entry.  They are made dense on
    their nonzero columns, rows and then columns again distinct up to sign,
    and diagonalized by dense elimination (see ``_dense_snf``).
@@ -52,37 +51,37 @@ def smith_normal_form(rows: list[dict[int, int]]) -> SNFResult:
     Repeated rows are dropped when they list their columns in the same
     order, as the ascending rows of the boundary and relator matrices do.
     """
-    columns: dict[int, list[tuple[int, int]]] = {}
-    sparse: list[dict[int, int]] = []
-    for i, items in enumerate(_distinct_rows(row.items() for row in rows)):
-        sparse.append({})
-        for j, v in items:
-            columns.setdefault(j, []).append((i, v))
-    cols: list = list(_distinct_rows(columns.pop(j) for j in sorted(columns)))
-    for j, col in enumerate(cols):
-        for i, v in col:
-            sparse[i][j] = v
-        cols[j] = {i for i, _ in col}  # the holder set replaces the column
-    pivots = _eliminate_unit_pivots(sparse, cols)
-    core = _dense_snf(_residual_core(sparse, cols))
-    return SNFResult(pivots + core.rank, core.torsion)
-
-
-def _distinct_rows(rows):
-    """Each nonempty (column, value) sequence unequal to an earlier one up to
-    sign, as a tuple with its first value made positive.  Sequences compare
-    as given, so two count as equal only when they list their columns in the
-    same order: a matrix column is one, listing its (row, value) pairs."""
+    seen: set = set()
+    flat: dict[int, list[int]] = {}  # column -> [i, v, i, v, ...] of the distinct rows
+    for row in rows:
+        values = tuple(row.values())
+        if values and values[0] < 0:
+            values = tuple([-v for v in values])
+        key = (tuple(row), values)
+        if key not in seen:
+            seen.add(key)
+            i = len(seen) - 1
+            for j, v in zip(key[0], values):
+                flat.setdefault(j, []).extend((i, v))
+    sparse: list = [{} for _ in seen]
+    holders: list[list[int]] = []
     seen = set()
-    for r in rows:
-        items = tuple(r)
-        if not items:
-            continue
-        if items[0][1] < 0:
-            items = tuple([(j, -v) for j, v in items])
-        if items not in seen:
-            seen.add(items)
-            yield items
+    for j in sorted(flat):
+        col = flat.pop(j)
+        if col[1] < 0:
+            col[1::2] = [-v for v in col[1::2]]
+        key = tuple(col)
+        if key not in seen:
+            seen.add(key)
+            k = len(holders)  # one int object for the column's entries
+            for i, v in zip(col[::2], col[1::2]):
+                sparse[i][k] = v
+            holders.append(col[::2])
+    del seen, flat
+    count = list(map(len, holders))
+    _eliminate_unit_pivots(sparse, holders, count)
+    core = _dense_snf(_residual_core(sparse, count))
+    return SNFResult(sparse.count(None) + core.rank, core.torsion)
 
 
 def _distinct_dense(lines) -> list[tuple[int, ...]]:
@@ -99,11 +98,10 @@ def _has_unit(values) -> bool:
     return 1 in values or -1 in values
 
 
-def _eliminate_unit_pivots(sparse, cols) -> int:
-    """Eliminate +-1 pivots in place; dead rows become None.  Returns the count."""
+def _eliminate_unit_pivots(sparse, holders, count) -> None:
+    """Eliminate +-1 pivots in place; each pivot row becomes None."""
     heap = [(len(r), i) for i, r in enumerate(sparse) if _has_unit(r.values())]
     heapq.heapify(heap)
-    pivots = 0
     while heap:
         length, r = heapq.heappop(heap)
         prow = sparse[r]
@@ -113,33 +111,35 @@ def _eliminate_unit_pivots(sparse, cols) -> int:
         units = [j for j, v in prow.items() if v == 1 or v == -1]
         if not units:
             continue
-        c = min(units, key=lambda j: len(cols[j]))
+        c = min(units, key=count.__getitem__)
         p = prow[c]
+        sparse[r] = None
         for j in prow:
-            cols[j].discard(r)
-        for i in list(cols[c]):
+            count[j] -= 1
+        for i in holders[c]:
             row = sparse[i]
+            if row is None or c not in row:
+                continue
             f = row[c] * p  # p is its own inverse
             for j, v in prow.items():
                 old = row.get(j)
                 if old is None:
                     row[j] = -f * v
-                    cols[j].add(i)
+                    count[j] += 1
+                    holders[j].append(i)
                 elif old != f * v:
                     row[j] = old - f * v
                 else:
                     del row[j]
-                    cols[j].discard(i)
+                    count[j] -= 1
             if _has_unit(row.values()):
                 heapq.heappush(heap, (len(row), i))
-        sparse[r] = None
-        pivots += 1
-    return pivots
+        holders[c] = []
 
 
-def _residual_core(sparse, cols) -> list[list[int]]:
+def _residual_core(sparse, count) -> list[list[int]]:
     """The rows left, dense on the live columns, with rows then columns distinct up to sign."""
-    live = [j for j, holders in enumerate(cols) if holders]
+    live = [j for j, n in enumerate(count) if n]
     rows = _distinct_dense(tuple(map(r.get, live, repeat(0))) for r in sparse if r)
     return [list(r) for r in zip(*_distinct_dense(zip(*rows)))]
 
