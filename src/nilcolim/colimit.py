@@ -127,56 +127,6 @@ def d2_projection_kernel_is_derived(G: FiniteGroup, sub: D2Subgroup) -> bool:
 # the counit, read off a table as its ``epsilon``, and kernel bookkeeping
 # ---------------------------------------------------------------------------
 
-def epsilon_bar_images(t: CosetTable) -> list[tuple[int, int]]:
-    """Image of each coset under (g) -> (g, g^-1) into G x G.
-
-    Assigned by BFS from coset 0 and then certified on every table edge, so
-    the assignment is independent of representative words: this is the
-    machine check that the map is well defined on the enumerated quotient.
-    """
-    P = t.presentation
-    G = P.group
-    pair: dict[int, tuple[int, int]] = {}  # signed generator -> (u, v)
-    for j, e in enumerate(P.generators, 1):
-        inv = G.inverse(e)
-        pair[j] = (e, inv)
-        pair[-j] = (inv, e)
-    images: list[Optional[tuple[int, int]]] = [None] * t.coset_count
-    images[0] = (0, 0)
-    for x, s, y in t.breadth_first():
-        a, b = images[x]
-        u, v = pair[s]
-        images[y] = (G.multiply(a, u), G.multiply(b, v))
-    for x in range(t.coset_count):
-        a, b = images[x]
-        for s, (u, v) in pair.items():
-            target = (G.multiply(a, u), G.multiply(b, v))
-            if images[t.trace((s,), x)] != target:
-                raise AssertionError(
-                    "the pair substitution is inconsistent across the table"
-                )
-    return images  # type: ignore[return-value]
-
-
-def certified_bar_counit_isomorphism(thm: "Theorem1Report") -> bool:
-    """Full certificate that the pair map is an isomorphism onto D2(S).
-
-    Combines the edge-level well-definedness of epsilon_bar_images with
-    injectivity (all coset images distinct) and exact image equality with
-    the explicit D2 member set.
-    """
-    if thm.table is None or not thm.table.closed:
-        return False
-    S = thm.s_group
-    images = epsilon_bar_images(thm.table)
-    if len(set(images)) != len(images):
-        return False
-    target = d2(S)
-    if target.members is None:
-        return False
-    return set(images) == set(target.members)
-
-
 def coset_words(t: CosetTable) -> list[Word]:
     """A representative word for every coset (BFS from 0, shortest-first)."""
     words: list[Optional[Word]] = [None] * t.coset_count

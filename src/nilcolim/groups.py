@@ -11,15 +11,15 @@ the full carrier raise GroupTooLargeError instead.
 
 Materialized groups of order <= TABLE_MAX_ORDER multiply and invert by
 lookup in one Cayley table, built on the first ``multiply`` or ``inverse``
-(never at construction) and kept for the group's lifetime: n^2 tuple cells of
-8 bytes, 134 MB at the cap.  These are exactly the groups that get a colimit
-presentation and conjugacy classes, which read only the table.  Centralizers
-are read off it by column gathers; they and the pair gate ``partners`` are
-cached per group as ``array('i')`` rows, computed for the least member of
-each conjugacy class and conjugated onto the rest.  ``class_below`` decides
-whether a set spans a subgroup of class < q from the set's commutators alone,
-with no closure and no cache.  Lazy groups and materialized groups past the
-cap multiply keys.
+(never at construction) and kept for the group's lifetime: n ``array('H')``
+columns, n^2 cells of 2 bytes, about 34 MB at the cap.  These are exactly
+the groups that get a colimit presentation and conjugacy classes, which read
+only the table.  Centralizers are read off it by column gathers; they and
+the pair gate ``partners`` are cached per group as ``array('i')`` rows,
+computed for the least member of each conjugacy class and conjugated onto
+the rest.  ``class_below`` decides whether a set spans a subgroup of class
+< q from the set's commutators alone, with no closure and no cache.  Lazy
+groups and materialized groups past the cap multiply keys.
 A subgroup that is the whole parent materializes as the parent itself, so
 its Cayley table and derived subgroup are built once.  Commutator subgroups
 [K, H] come from one algorithm: the normal closure of generator commutators.
@@ -34,12 +34,14 @@ from __future__ import annotations
 from array import array
 from itertools import compress
 from operator import eq, getitem, itemgetter
+from struct import Struct
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 MAX_ENUMERATED_ORDER = 1 << 20
 # Materialized groups up to this order are tabulated and presented: a table
-# holds n^2 cells of 8 bytes, 134 MB at the cap, and a presentation one coset
-# table column per element.
+# holds n^2 cells of 2 bytes, about 34 MB at the cap, and a presentation one
+# coset table column per element.  Ids of a tabulated group are < the cap, so
+# the cap must stay <= 65536 for a cell to fit ``array('H')``.
 TABLE_MAX_ORDER = 1 << 12
 
 
@@ -58,7 +60,7 @@ class FiniteGroup:
     matrix tuples, structured tuples, or raw table indices); the id layer is
     built on top of them.  Up to TABLE_MAX_ORDER, a materialized group
     answers ``multiply``/``inverse`` from a Cayley table built on the first
-    such call (8 bytes per cell); an id >= order raises IndexError.  Lazy
+    such call (2 bytes per cell); an id >= order raises IndexError.  Lazy
     groups and materialized groups past the cap multiply keys.
     """
 
@@ -88,7 +90,7 @@ class FiniteGroup:
         self._partners: dict[int, dict[int, array]] = {}  # q -> a -> partners
         self._derived: Optional[Subgroup] = None
         self._is_abelian: Optional[bool] = None
-        self._cols: Optional[list[tuple[int, ...]]] = None  # () when keyed
+        self._cols: Optional[list[array]] = None  # () when keyed
         self._inv: list[int] = []
         self._classes: Optional[tuple[array, array]] = None  # see _class_of
         gen_keys = list(generator_keys)
@@ -151,13 +153,16 @@ class FiniteGroup:
             return self._inv[a]
         return self._register(self._inv_key(self._key_of[a]))
 
-    def cayley_columns(self) -> list[tuple[int, ...]]:
-        """``cols[b][a] == a*b``; empty for lazy groups and past TABLE_MAX_ORDER,
-        so a non-empty result is the test for "G can be presented".
+    def cayley_columns(self) -> list[array]:
+        """``cols[b][a] == a*b`` in ``array('H')`` columns; empty for lazy groups
+        and past TABLE_MAX_ORDER, so a non-empty result is the test for "G can
+        be presented".
 
         One column per generator by key multiplication, the rest by BFS over
-        the Cayley graph: col(y*g) is col(g) gathered at col(y), into a tuple.
-        Inverses follow the same steps: inv(y*g) = inv(g)*inv(y).
+        the Cayley graph: col(y*g) is col(g) gathered at col(y), a tuple, as
+        ``itemgetter`` gathers fast only from one.  Column y is packed to 2
+        bytes a cell once its children are built, so the whole table is never
+        held as tuples.  Inverses follow the same steps: inv(y*g) = inv(g)*inv(y).
         """
         if self._cols is not None:
             return self._cols
@@ -169,6 +174,7 @@ class FiniteGroup:
         gen_cols = {
             g: tuple([id_of[mul(k, key_of[g])] for k in key_of]) for g in self.generators
         }
+        pack = Struct(f"{n}H").pack
         cols: list = [None] * n
         cols[0] = tuple(range(n))
         queue = [0]
@@ -182,6 +188,7 @@ class FiniteGroup:
                     cols[z] = gen_cols.get(z) or itemgetter(*col_y)(col_g)
                     queue.append(z)
                     inv[z] = inv_g
+            cols[y] = array("H", pack(*col_y))
         if len(queue) != n:
             raise ValueError(f"{self.label}: the generators do not generate")
         for z in queue[1:]:  # z = y*g with y = z*inv(g) earlier in the queue

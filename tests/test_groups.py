@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,6 +35,7 @@ from nilcolim.groups import (
 from nilcolim.constructions import (
     cyclic_group,
     extraspecial_group,
+    general_linear_group,
     product_group,
     symmetric_group,
 )
@@ -490,10 +492,32 @@ def test_cayley_table_matches_keyed_arithmetic(spec):
 @pytest.mark.parametrize("n", [1, 2])
 def test_cayley_columns_of_the_smallest_groups(n):
     """Each column past the generators is one ``itemgetter`` gather, which
-    returns a bare id, not a tuple, when given a single index."""
+    returns a bare id, not a tuple, when given a single index; every column is
+    then packed into an ``array('H')``."""
     G = cyclic_group(n)
-    assert G.cayley_columns() == [tuple((a + b) % n for a in range(n)) for b in range(n)]
+    assert G.cayley_columns() == [array("H", [(a + b) % n for a in range(n)]) for b in range(n)]
     assert conjugacy_classes(G) == [(a,) for a in range(n)]
+
+
+def test_cayley_cells_fit_two_bytes():
+    """Every id of a tabulated group is below TABLE_MAX_ORDER, so the cap
+    must stay within what an ``array('H')`` cell holds."""
+    assert TABLE_MAX_ORDER <= 1 << 8 * array("H").itemsize
+
+
+def test_cayley_table_memory_per_cell():
+    """gl:2:7 (order 2016) holds its table at about 2 bytes a cell: one
+    ``array('H')`` a column, packed as soon as its children are gathered, so
+    the build never holds the whole table as tuples of 8-byte pointers."""
+    G = general_linear_group(2, 7)  # a fresh group, not the build() cache's
+    cells = G.order ** 2
+    tracemalloc.start()
+    try:
+        G.cayley_columns()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 2.5 * cells and peak <= 4 * cells
 
 
 def test_cayley_table_rows_match_keyed_arithmetic_above_1024():
