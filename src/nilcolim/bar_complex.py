@@ -9,6 +9,7 @@ produces one.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .budgets import DEFAULT_MAX_SIMPLICES, BudgetExceededError
@@ -70,18 +71,19 @@ class ChainComplex(NamedTuple):
     """Normalized chains up to a dimension cap.
 
     ``bases[n]`` lists the nondegenerate n-simplices (lexicographic order);
-    ``boundary(n)`` is the matrix of the bar differential as sparse rows:
-    one ``{column: nonzero value}`` dict per (n-1)-simplex, in basis order,
-    keyed by the indices of n-simplices in ascending order.
+    ``boundary(n)`` is the matrix of the bar differential as sparse lines,
+    one per n-simplex in basis order: its faces as a flat tuple
+    ``(i, v, i, v, ...)``, i the index of an (n-1)-simplex, ascending, and
+    v a nonzero coefficient.
     """
 
     group: FiniteGroup
     q: int
     dim_cap: int
     bases: list[list[tuple[int, ...]]]
-    boundaries: list[Optional[list[dict[int, int]]]]
+    boundaries: list[Optional[list[tuple[int, ...]]]]
 
-    def boundary(self, n: int) -> list[dict[int, int]]:
+    def boundary(self, n: int) -> list[tuple[int, ...]]:
         if n < 1 or n > self.dim_cap:
             raise ValueError(f"no boundary matrix for dimension {n}")
         return self.boundaries[n]
@@ -93,17 +95,22 @@ def build_complex(
     dim_cap: int = 2,
     max_simplices: int = DEFAULT_MAX_SIMPLICES,
 ) -> ChainComplex:
+    bases = _bases(G, q, dim_cap, max_simplices)
+    boundaries: list[Optional[list[tuple[int, ...]]]] = [None]
+    for n in range(1, dim_cap + 1):
+        boundaries.append(_boundary_matrix(G, bases[n - 1], bases[n], n))
+    return ChainComplex(G, q, dim_cap, bases, boundaries)
+
+
+def _bases(
+    G: FiniteGroup, q: int, dim_cap: int, max_simplices: int
+) -> list[list[tuple[int, ...]]]:
+    """The simplices of dimensions 0 to dim_cap."""
     if dim_cap < 0:
         raise ValueError("dimension cap must be >= 0")
     if max_simplices < 0:
         raise ValueError(f"simplex budget must be >= 0, got {max_simplices}")
-    bases: list[list[tuple[int, ...]]] = [[()]]
-    for n in range(1, dim_cap + 1):
-        bases.append(_simplices(G, q, n, max_simplices))
-    boundaries: list[Optional[list[dict[int, int]]]] = [None]
-    for n in range(1, dim_cap + 1):
-        boundaries.append(_boundary_matrix(G, bases[n - 1], bases[n], n))
-    return ChainComplex(G, q, dim_cap, bases, boundaries)
+    return [[()]] + [_simplices(G, q, n, max_simplices) for n in range(1, dim_cap + 1)]
 
 
 def _simplices(G: FiniteGroup, q: int, n: int, cap: int) -> list[tuple[int, ...]]:
@@ -118,35 +125,31 @@ def _simplices(G: FiniteGroup, q: int, n: int, cap: int) -> list[tuple[int, ...]
     return out
 
 
-def _boundary_matrix(G, rows_basis, cols_basis, n) -> list[dict[int, int]]:
-    """Sparse rows of d_n; visiting columns in order keeps each row's keys ascending."""
-    index = {t: i for i, t in enumerate(rows_basis)}
-    rows: list[dict[int, int]] = [{} for _ in rows_basis]
-    for cj, t in enumerate(cols_basis):
-        for i in range(n + 1):
-            if i == 0:
-                face = t[1:]
-            elif i == n:
+def _boundary_matrix(G, faces_basis, basis, n) -> list[tuple[int, ...]]:
+    """The lines of d_n: one per n-simplex of ``basis``, indices into ``faces_basis``."""
+    index = {t: i for i, t in enumerate(faces_basis)}
+    lines = []
+    for t in basis:
+        line = {index[t[1:]]: 1}
+        for i in range(1, n + 1):
+            if i == n:
                 face = t[:-1]
             else:
                 merged = G.multiply(t[i - 1], t[i])
                 if merged == 0:
                     continue  # degenerate face, zero in normalized chains
                 face = t[: i - 1] + (merged,) + t[i + 1 :]
-            ri = index.get(face)
-            if ri is None:
-                raise AssertionError(f"face {face} missing from basis")
-            _add_entry(rows[ri], cj, 1 if i % 2 == 0 else -1)
-    return rows
+            ri = index[face]
+            line[ri] = line.get(ri, 0) + (-1 if i % 2 else 1)
+        lines.append(_flat(line))
+    return lines
 
 
-def _add_entry(row: dict[int, int], j: int, v: int) -> None:
-    """row[j] += v in a sparse row, which holds no zero value."""
-    v += row.get(j, 0)
-    if v:
-        row[j] = v
-    else:
-        del row[j]
+def _flat(entries: dict[int, int]) -> tuple[int, ...]:
+    """The line ``(i, v, i, v, ...)`` of a sparse vector: ascending, zeros dropped."""
+    if 0 in entries.values():
+        entries = {i: v for i, v in entries.items() if v}
+    return tuple(chain.from_iterable(sorted(entries.items())))
 
 
 def homology(
@@ -162,27 +165,27 @@ def homology(
     """
     if k not in (0, 1, 2):
         raise ValueError(f"homology is computed for k in {{0, 1, 2}}, got {k}")
-    cx = build_complex(G, q, k + 1, max_simplices)
-    dim_k = len(cx.bases[k])
-    rank_in = smith_normal_form(cx.boundary(k)).rank if k >= 1 else 0
-    down = smith_normal_form(cx.boundary(k + 1))
+    bases = _bases(G, q, k + 1, max_simplices)
+    rank_in = smith_normal_form(_boundary_matrix(G, bases[k - 1], bases[k], k)).rank if k else 0
+    d = _boundary_matrix(G, bases[k], bases[k + 1], k + 1)
+    dim_k = len(bases[k])
+    del bases  # the Smith form reads d alone
+    down = smith_normal_form(d)
     return SNFResult(rank=dim_k - rank_in - down.rank, torsion=down.torsion)
 
 
 # -- consistency with the colimit presentation --------------------------------
 
-def abelianized_relator_matrix(P: Presentation) -> list[dict[int, int]]:
-    """Exponent sums of the relators as sparse rows over the generator indices.
-
-    Letters are visited by generator, so each row's columns ascend.
-    """
-    rows = []
+def abelianized_relator_matrix(P: Presentation) -> list[tuple[int, ...]]:
+    """Exponent sums of the relators as sparse lines over the generator indices."""
+    lines = []
     for w in P.relators:
-        row: dict[int, int] = {}
-        for signed in sorted(w, key=abs):
-            _add_entry(row, abs(signed) - 1, 1 if signed > 0 else -1)
-        rows.append(row)
-    return rows
+        sums: dict[int, int] = {}
+        for signed in w:
+            j = abs(signed) - 1
+            sums[j] = sums.get(j, 0) + (1 if signed > 0 else -1)
+        lines.append(_flat(sums))
+    return lines
 
 
 def presented_h1(G: FiniteGroup, q: int = 2) -> SNFResult:

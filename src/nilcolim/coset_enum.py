@@ -349,10 +349,11 @@ def _colimit_enumeration(P: Presentation, limit: int,
                             scan(a, h, b, plan, xs, ys)
                 if eps[alpha] < 0 or exceeded:
                     break
-        if exceeded:
+        if exceeded or not fwd:
             break
         # coincidences can transiently erase cells of cosets already passed;
-        # rescan until a full pass finds every live coset complete
+        # rescan until a full pass finds every live coset complete (with no
+        # merge yet, nothing was erased and every row below top is complete)
         restart = next((x for x in range(top) if eps[x] >= 0
                         and -1 in cells[x * n : x * n + n]), None)
         if restart is None:

@@ -1,28 +1,31 @@
 """Exact Smith normal form over the integers.
 
-A matrix arrives as a list of sparse rows, one ``{column: nonzero value}``
-dict per row, and goes through two phases, over Python ints.
+A matrix arrives as a list of sparse lines, its columns or its rows (the
+transpose has the same Smith form): each line a flat tuple ``(i, v, i, v,
+...)`` with ascending indices and no zero value.  It goes through two
+phases, over Python ints.
 
 1. Sparse unit-pivot elimination (after Dumas, Saunders & Villard, "On
    efficient sparse integer matrix Smith normal form computations", J.
-   Symbolic Comput. 32, 2001).  Rows, then columns, equal to an earlier one
-   up to sign are dropped (a unimodular step makes each a zero line), on
-   flat keys of 16 bytes a nonzero: a row's column and value tuples, then
-   a column's [i, v, i, v, ...] list from one transposition of the rows.
-   Each column keeps an exact count of its rows and an append-only holder
-   list, 8 bytes a nonzero beside the row's dict entry.  While a row holds a
-   +-1 entry, the shortest one is taken, and in it the unit of least count
-   (Markowitz-style, to limit fill-in).  Row operations clear that column
-   from the live rows on its holder list; SNF(M) = 1 + SNF(M') with M' the
-   rest, since clearing the pivot row by column operations touches it only.
+   Symbolic Comput. 32, 2001).  Lines equal to an earlier one up to sign
+   are dropped (a unimodular step makes each a zero line), and the distinct
+   ones are transposed once: elimination runs on the other side, one
+   ``{line: value}`` dict per index i.  Each line keeps an exact count of
+   its live rows and an append-only holder list, 8 bytes a nonzero beside
+   the row's dict entry.  While a row holds a +-1 entry, the shortest one is
+   taken, and in it the unit of least count (Markowitz-style, to limit
+   fill-in).  Row operations clear that line from the live rows on its
+   holder list; SNF(M) = 1 + SNF(M') with M' the rest, since clearing the
+   pivot row by column operations touches it only.
 2. Dense core.  The rows left hold no unit entry.  They are made dense on
-   their nonzero columns, rows and then columns again distinct up to sign,
-   and diagonalized by dense elimination (see ``_dense_snf``).
+   their nonzero columns, rows and then columns distinct up to sign, and
+   diagonalized by dense elimination (see ``_dense_snf``).
 
 Boundary and relator matrices are sparse with mostly unit entries, so the
-core is small: 35 x 15 for d_3 of extraspecial:2:2 (481 x 4,332 live
-columns), 7 x 379 for d_2 (127 x 8,065) and 412 x 7 for the relator matrix
-(1,450 x 127) of extraspecial:2:3.
+core is small: 35 x 15 for d_3 of extraspecial:2:2 (4,351 lines, 3,903
+distinct, over 481 faces), 7 x 379 for d_2 (8,065 lines, 4,096 distinct,
+over 127) and 7 x 318 for the relator matrix (1,450 lines over 127
+generators) of extraspecial:2:3.
 """
 
 from __future__ import annotations
@@ -44,40 +47,29 @@ class SNFResult(NamedTuple):
         return " + ".join(parts) if parts else "0"
 
 
-def smith_normal_form(rows: list[dict[int, int]]) -> SNFResult:
-    """Rank and elementary divisors of the matrix whose rows are ``rows``.
+def smith_normal_form(lines) -> SNFResult:
+    """Rank and elementary divisors of the matrix whose columns are ``lines``.
 
-    Each row maps a column index to a nonzero value; ``rows`` is only read.
-    Repeated rows are dropped when they list their columns in the same
-    order, as the ascending rows of the boundary and relator matrices do.
+    A line is a flat tuple ``(i, v, i, v, ...)`` with ascending indices and
+    no zero value; ``lines`` is only read.  The matrix whose rows are
+    ``lines`` has the same Smith form.
     """
-    seen: set = set()
-    flat: dict[int, list[int]] = {}  # column -> [i, v, i, v, ...] of the distinct rows
-    for row in rows:
-        values = tuple(row.values())
-        if values and values[0] < 0:
-            values = tuple([-v for v in values])
-        key = (tuple(row), values)
-        if key not in seen:
-            seen.add(key)
-            i = len(seen) - 1
-            for j, v in zip(key[0], values):
-                flat.setdefault(j, []).extend((i, v))
-    sparse: list = [{} for _ in seen]
+    distinct: dict[tuple[int, ...], None] = {}
+    for line in lines:
+        if line:
+            if line[1] < 0:
+                flipped = list(line)
+                flipped[1::2] = [-v for v in line[1::2]]
+                line = tuple(flipped)
+            distinct.setdefault(line)
+    sparse: list = [{} for _ in range(max((line[-2] for line in distinct), default=-1) + 1)]
     holders: list[list[int]] = []
-    seen = set()
-    for j in sorted(flat):
-        col = flat.pop(j)
-        if col[1] < 0:
-            col[1::2] = [-v for v in col[1::2]]
-        key = tuple(col)
-        if key not in seen:
-            seen.add(key)
-            k = len(holders)  # one int object for the column's entries
-            for i, v in zip(col[::2], col[1::2]):
-                sparse[i][k] = v
-            holders.append(col[::2])
-    del seen, flat
+    for k, line in enumerate(distinct):  # k: one int object for the line's entries
+        ids = line[::2]
+        for i, v in zip(ids, line[1::2]):
+            sparse[i][k] = v
+        holders.append(list(ids))
+    del distinct
     count = list(map(len, holders))
     _eliminate_unit_pivots(sparse, holders, count)
     core = _dense_snf(_residual_core(sparse, count))

@@ -699,23 +699,24 @@ def determinantal_divisors(rows):
     return out
 
 
-def sparse_rows(rows):
-    """The dense matrix ``rows`` as ``{column: nonzero value}`` dicts, one per row."""
-    return [{j: v for j, v in enumerate(r) if v} for r in rows]
+def sparse_lines(rows):
+    """The dense rows ``rows`` as flat lines ``(j, v, j, v, ...)``: nonzero v, j ascending."""
+    return [tuple(x for j, v in enumerate(r) if v for x in (j, v)) for r in rows]
 
 
 def boundaries_square_to_zero(boundaries):
     """Each product d_n . d_{n+1} of consecutive matrices in ``boundaries`` is zero.
 
-    A matrix is a list of ``{column: value}`` rows; row t of d_{n+1} belongs to
-    column t of d_n.
+    A matrix is a list of lines ``(i, v, i, v, ...)``, one per column; index t
+    in a column of d_{n+1} names column t of d_n.
     """
     for lower, upper in zip(boundaries, boundaries[1:]):
-        for row in lower:
+        for line in upper:
             product = {}
-            for t, v in row.items():
-                for j, w in upper[t].items():
-                    product[j] = product.get(j, 0) + v * w
+            for t, w in zip(line[::2], line[1::2]):
+                column = lower[t]
+                for i, v in zip(column[::2], column[1::2]):
+                    product[i] = product.get(i, 0) + v * w
             if any(product.values()):
                 return False
     return True

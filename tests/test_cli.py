@@ -245,7 +245,7 @@ def test_homology_s3(capsys):
 def test_homology_dim_1_computes_h1_once(capsys, monkeypatch):
     import nilcolim.bar_complex as bar_complex
 
-    calls = {"build_complex": 0, "smith_normal_form": 0}
+    calls = {"_boundary_matrix": 0, "smith_normal_form": 0}
 
     def counted(name):
         real = getattr(bar_complex, name)
@@ -256,12 +256,12 @@ def test_homology_dim_1_computes_h1_once(capsys, monkeypatch):
 
         monkeypatch.setattr(bar_complex, name, wrapper)
 
-    counted("build_complex")
+    counted("_boundary_matrix")
     counted("smith_normal_form")
     code, doc, _ = run_json(capsys, "homology", "extraspecial:2:2", "--dim", "1")
     assert code == 0 and doc["homology"]["h1_consistent"] is True
     # d_1 and d_2 of one complex, then the abelianized relator matrix
-    assert calls == {"build_complex": 1, "smith_normal_form": 3}
+    assert calls == {"_boundary_matrix": 2, "smith_normal_form": 3}
 
 
 def test_homology_budget_error(capsys):

@@ -452,8 +452,8 @@ def test_result_records_behave_as_the_code_uses_them():
     for kind, result in outcomes.items():
         assert [isinstance(result, k) for k in outcomes] == [k is kind for k in outcomes]
 
-    assert smith_normal_form([{0: 2}, {1: 4}]) == SNFResult(2, (2, 4))
-    assert smith_normal_form([{0: 2}]) != SNFResult(1, ())
+    assert smith_normal_form([(0, 2), (1, 4)]) == SNFResult(2, (2, 4))
+    assert smith_normal_form([(0, 2)]) != SNFResult(1, ())
 
     sub = closure(G, [1])
     assert all(sub.contains(a) for a in sub.members)

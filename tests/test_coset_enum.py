@@ -287,11 +287,12 @@ def _seed(G, eps, edges):
 
 @pytest.mark.parametrize("spec,q", [("extraspecial:2:2", 2), ("quaternion", 3)])
 def test_seeded_duplicate_coset_merges_to_the_frozen_table(spec, q):
-    """No colimit run has met a coincidence, so one is seeded: cosets 1 and 2
-    are 0.(b) and 0.(bc), the first two definitions of a run, and coset 3 is
-    1.(c), a second copy of 0.(bc) as b and c commute.  Closing the seed
-    merges 3 into 2, and the table is the frozen one with one more coset
-    defined."""
+    """Colimit runs do meet coincidences (sym:5 at q = 3, in
+    test_presentations.py), but not at a place chosen in advance, so one is
+    seeded: cosets 1 and 2 are 0.(b) and 0.(bc), the first two definitions
+    of a run, and coset 3 is 1.(c), a second copy of 0.(bc) as b and c
+    commute.  Closing the seed merges 3 into 2, and the table is the frozen
+    one with one more coset defined."""
     G = build(spec)
     P = build_presentation(G, q)
     inv = [G.inverse(x) for x in range(G.order)]

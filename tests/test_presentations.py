@@ -269,6 +269,19 @@ def test_epsilon_core_matches_the_relator_core_property(spec, q):
         assert _table_state(table) == _table_state(reference)
 
 
+@pytest.mark.parametrize("limit", [483, 2000])
+def test_natural_coincidences_match_the_relator_core(limit):
+    """Colimit runs merge cosets with no seed: sym:5 at q = 3 ends at high
+    water 483 with 477 cosets, and at 2000 with 1,994.  The epsilon-core
+    table and the reference enumerator's, on the presentation's own
+    relators, agree in state, counts and every cell."""
+    P = build_presentation(build("sym:5"), 3)
+    table = todd_coxeter(P, limit)
+    assert (table.high_water, table.coset_count) == (limit, limit - 6)
+    reference = O.relator_todd_coxeter(P.num_generators, P.relators, limit)
+    assert _table_state(table) == _table_state(reference)
+
+
 @pytest.mark.parametrize("spec,q", [
     ("cyclic:6", 2), ("sym:3", 2), ("quaternion", 2), ("dihedral:4", 2),
     ("extraspecial:2:2", 2), ("quaternion", 3), ("dihedral:4", 3),
